@@ -17,6 +17,13 @@ from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a fraction: %r" % text)
+
+
 def _split_vars(text):
     return [v.strip() for v in text.split(",") if v.strip()]
 
@@ -204,15 +211,14 @@ def _cmd_embed(args):
 
 
 def _cmd_cech(args):
-    m = Fraction(args.deg)
-    dims = cohomology.twist_dims(args.n, m, args.den, Fraction(args.box))
+    dims = cohomology.twist_dims(args.n, args.deg, args.den, args.box)
     payload = {"h": list(dims.h)}
     lines = ["h: %s" % ",".join(str(x) for x in dims.h)]
     names = ["X%d" % i for i in range(args.n + 1)]
     if args.basis == "h0":
-        basis = cohomology.h0_basis(args.n, m, args.den)
+        basis = cohomology.h0_basis(args.n, args.deg, args.den)
     elif args.basis == "hn":
-        basis = cohomology.hn_basis(args.n, m, args.den)
+        basis = cohomology.hn_basis(args.n, args.deg, args.den)
     else:
         basis = None
     if basis is not None:
@@ -322,9 +328,9 @@ def build_parser():
 
     sub = subs.add_parser("cech")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--deg", required=True)
+    sub.add_argument("--deg", type=_fraction, required=True)
     sub.add_argument("--den", type=int, required=True)
-    sub.add_argument("--box", required=True)
+    sub.add_argument("--box", type=_fraction, required=True)
     sub.add_argument("--basis", choices=["h0", "hn"])
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_cech)

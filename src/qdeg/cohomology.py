@@ -5,21 +5,21 @@ The Cech differential preserves the exponent vector of a monomial, so the
 degree-m slice of the complex splits into one finite summand per multidegree
 l = (l_0,...,l_n) with sum m.  The monomial X^l lies in the localization at
 X_I exactly when every variable with a negative exponent is inverted, so the
-summand's shape depends only on NEG(l) = {i : l_i < 0}; its cohomology is
-computed by exact rank (fraction-free over Q, modular over F_p) and cached
-per NEG pattern.  h^0 and h^n come out as monomial counts; every middle spot
-vanishes, which the rank computation re-derives rather than assumes.
+summand's shape depends only on NEG(l) = {i : l_i < 0}, and after
+relabelling the variables only on |NEG|.  So the summands are counted per
+|NEG| by a dynamic program over the coordinates, and the cohomology of one
+complex per |NEG| is computed by exact rank (fraction-free over Q, modular
+over F_p) and cached.  h^0 and h^n come out as monomial counts; every middle
+spot vanishes, which the rank computation re-derives rather than assumes.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, floor
 
-from .errors import DegreeLevelMismatch, MalformedComplex
+from .errors import DegreeLevelMismatch, MalformedComplex, NegativeDimension
 from .fields import QQ
 from .linalg import matrix_rank
 from .poly import Monomial
@@ -135,13 +135,17 @@ def complex_cohomology_dims(c):
 
 
 @lru_cache(maxsize=None)
-def _pattern_dims(n, negatives, field_key):
-    coefficients = QQ  # incidence matrices are 0/+-1; rank is field-independent
-    return tuple(complex_cohomology_dims(complex_for_pattern(n, negatives,
-                                                             coefficients)))
+def _pattern_dims(n, k):
+    """Cohomology of the summand whose first k variables are negative; by
+    relabelling, every multidegree with k negatives has the same."""
+    return tuple(complex_cohomology_dims(complex_for_pattern(n, range(k))))
 
 
-def _require_level(m, level):
+def _require_level(n, m, level):
+    if n < 0:
+        raise NegativeDimension("P^%d has negative dimension" % n)
+    if level < 1:
+        raise DegreeLevelMismatch("level %s is not a positive integer" % level)
     m = Fraction(m)
     if (m * level).denominator != 1:
         raise DegreeLevelMismatch(
@@ -149,72 +153,37 @@ def _require_level(m, level):
     return m
 
 
-def _enumerate_counts(n, total, bound):
-    """Count multidegree sign patterns: integer vectors of length n+1 with
-    entries in [-bound, bound] summing to total, bucketed by NEG set."""
-    counts = {}
-
-    def walk(i, remaining, neg):
-        if i == n:
-            if -bound <= remaining <= bound:
-                key = neg | {i} if remaining < 0 else neg
-                counts[frozenset(key)] = counts.get(frozenset(key), 0) + 1
-            return
-        left = n - i  # coordinates after this one
-        for v in range(-bound, bound + 1):
-            rest = remaining - v
-            if abs(rest) > bound * left:
-                continue
-            walk(i + 1, rest, neg | {i} if v < 0 else neg)
-
-    walk(0, total, frozenset())
-    return counts
+def _count_by_negatives(n, total, bound):
+    """counts[k] = number of integer vectors in [-bound, bound]^(n+1) that
+    sum to total and have exactly k negative entries (0 <= k <= n+1)."""
+    states = {0: [1] + [0] * (n + 1)}  # partial sum -> counts by negatives
+    for left in range(n, -1, -1):  # coordinates after this one
+        step = {}
+        for s, by_neg in states.items():
+            for v in range(-bound, bound + 1):
+                if abs(total - s - v) > bound * left:
+                    continue
+                row = step.setdefault(s + v, [0] * (n + 2))
+                for k in range(n + 1 - left):
+                    row[k + (v < 0)] += by_neg[k]
+        states = step
+    return states.get(total, [0] * (n + 2))
 
 
-def default_threads():
-    env = os.environ.get("QDEG_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def twist_dims(n, m, level, box, threads=None):
+def twist_dims(n, m, level, box):
     """Cohomology dimensions of O(m) on P^n at denominator level D = level,
     summed over all multidegrees with |l_i| <= box.
 
     With box >= |m| the h^0 and h^n sums are complete; middle spots vanish
     multidegree by multidegree, which the rank computation verifies."""
-    m = _require_level(m, level)
+    m = _require_level(n, m, level)
     box = Fraction(box)
-    bound = int(box * level) if (box * level).denominator == 1 else int(box * level)
-    total = int(m * level)
-    if threads is None:
-        threads = default_threads()
-
-    if threads > 1:
-        firsts = list(range(-bound, bound + 1))
-
-        def chunk(v0):
-            sub = _enumerate_counts(n - 1, total - v0, bound) if n >= 1 else {}
-            out = {}
-            for neg, cnt in sub.items():
-                key = frozenset({0} | {i + 1 for i in neg}) if v0 < 0 \
-                    else frozenset(i + 1 for i in neg)
-                out[key] = out.get(key, 0) + cnt
-            return out
-        counts = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(chunk, firsts):
-                for key, cnt in part.items():
-                    counts[key] = counts.get(key, 0) + cnt
-    else:
-        counts = _enumerate_counts(n, total, bound)
-
+    counts = _count_by_negatives(n, int(m * level), floor(box * level))
     h = [0] * (n + 1)
-    for neg, cnt in sorted(counts.items(), key=lambda kv: sorted(kv[0])):
-        dims = _pattern_dims(n, neg, "q")
-        for p, d in enumerate(dims):
-            h[p] += d * cnt
+    for k, cnt in enumerate(counts):
+        if cnt:
+            for p, d in enumerate(_pattern_dims(n, k)):
+                h[p] += d * cnt
     return CohomologyDims(tuple(h), n, m, level, box)
 
 
@@ -241,7 +210,7 @@ def _exponent_vectors(n, total, low, high):
 def h0_basis(n, m, level):
     """Monomial basis of the global sections of O(m) at the given level:
     nonnegative exponents in (1/D)Z summing to m.  Count is C(Dm+n, n)."""
-    m = _require_level(m, level)
+    m = _require_level(n, m, level)
     total = int(m * level)
     if total < 0:
         return []
@@ -253,7 +222,7 @@ def h0_basis(n, m, level):
 def hn_basis(n, m, level):
     """Monomial basis of the top cohomology at the given level: strictly
     negative exponents summing to m.  Count is C(-Dm-1, n) when -Dm >= n+1."""
-    m = _require_level(m, level)
+    m = _require_level(n, m, level)
     total = int(m * level)
     if total > -(n + 1):
         return []
@@ -263,12 +232,12 @@ def hn_basis(n, m, level):
 
 
 def h0_count(n, m, level):
-    total = int(_require_level(m, level) * level)
+    total = int(_require_level(n, m, level) * level)
     return comb(total + n, n) if total >= 0 else 0
 
 
 def hn_count(n, m, level):
-    total = int(_require_level(m, level) * level)
+    total = int(_require_level(n, m, level) * level)
     return comb(-total - 1, n) if -total >= n + 1 else 0
 
 

@@ -69,6 +69,10 @@ class DegreeLevelMismatch(QdegError):
     pass
 
 
+class NegativeDimension(QdegError):
+    pass
+
+
 class MalformedComplex(QdegError):
     pass
 

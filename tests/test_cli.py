@@ -1,6 +1,9 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdeg.cli import run
 
@@ -57,6 +60,60 @@ def test_cech_basis(cli):
                        "--box", "3", "--basis", "hn")
     assert code == 0
     assert "basis: X0^(-1)*X1^(-1)*X2^(-1)" in out
+
+
+def test_cech_out_of_range_parameters(cli):
+    for extra in ((), ("--basis", "h0"), ("--basis", "hn")):
+        code, out, err = cli("cech", "--n", "2", "--deg", "-3", "--den", "0",
+                             "--box", "3", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("DegreeLevelMismatch:")
+    code, out, err = cli("cech", "--n", "-1", "--deg", "-3", "--den", "1",
+                         "--box", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("NegativeDimension:")
+    # a box in (-1/D, 0) is empty: it no longer counts the zero vector
+    code, out, _ = cli("cech", "--n", "2", "--deg", "0", "--den", "2",
+                       "--box=-1/3")
+    assert (code, out) == (0, "h: 0,0,0\n")
+
+
+def test_cech_malformed_fractions_are_usage_errors(cli):
+    for bad in ("abc", "1/0", "", "1/2/3"):
+        code, out, err = cli("cech", "--n", "2", "--deg=" + bad, "--den", "1",
+                             "--box", "3")
+        assert (code, out) == (2, "")
+        assert "argument --deg" in err and "Traceback" not in err
+    code, _, err = cli("cech", "--n", "2", "--deg", "0", "--den", "1",
+                       "--box", "x")
+    assert code == 2 and "argument --box" in err
+
+
+_GARBAGE = st.text(alphabet="abx/.-+ ", max_size=4)  # no digit: never a number
+
+
+def _fraction_text(num_range, den_range):
+    exact = st.builds(lambda p, q: "%d/%d" % (p, q), st.integers(*num_range),
+                      st.integers(*den_range))
+    return st.one_of(st.integers(*num_range).map(str), exact, _GARBAGE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.integers(-2, 3).map(str), _GARBAGE),
+       deg=_fraction_text((-4, 4), (-1, 3)),
+       den=st.one_of(st.integers(-2, 4).map(str), _GARBAGE),
+       box=_fraction_text((-3, 4), (-1, 3)),
+       extra=st.sampled_from([(), ("--json",), ("--basis", "h0"),
+                              ("--basis", "hn")]))
+def test_cech_fuzz_exit_codes(n, deg, den, box, extra):
+    argv = ["cech", "--n=" + n, "--deg=" + deg, "--den=" + den,
+            "--box=" + box, *extra]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
 
 
 def test_roots_command(cli):

@@ -5,10 +5,12 @@ from math import comb
 import pytest
 
 from qdeg.cohomology import (ChainComplex, CohomologyDims, MultiDegree,
-                             complex_cohomology_dims, h0_basis, h0_count,
+                             _count_by_negatives, complex_cohomology_dims,
+                             h0_basis, h0_count,
                              hn_basis, hn_count, kunneth_dims,
                              multidegree_complex, twist_dims)
-from qdeg.errors import DegreeLevelMismatch, MalformedComplex
+from qdeg.errors import (DegreeLevelMismatch, MalformedComplex,
+                         NegativeDimension)
 from qdeg.fields import QQ, PrimeField
 from qdeg.poly import Monomial
 
@@ -153,11 +155,70 @@ def test_kunneth_examples():
     assert kunneth_dims(a, a) == (4, 0, 0)
 
 
-def test_threaded_enumeration_matches_sequential():
-    for m in (-3, 0, 2):
-        seq = twist_dims(2, m, 2, 3, threads=1)
-        par = twist_dims(2, m, 2, 3, threads=3)
-        assert seq.h == par.h
+def _brute_counts(n, bound):
+    """total -> counts by number of negatives, over [-bound, bound]^(n+1)."""
+    out = {}
+    for v in product(range(-bound, bound + 1), repeat=n + 1):
+        counts = out.setdefault(sum(v), [0] * (n + 2))
+        counts[sum(1 for x in v if x < 0)] += 1
+    return out
+
+
+def test_count_by_negatives_matches_brute_force():
+    for n in range(4):
+        for bound in range(5):
+            brute = _brute_counts(n, bound)
+            edge = (n + 1) * bound
+            for total in range(-edge - 2, edge + 3):  # inside and beyond
+                assert _count_by_negatives(n, total, bound) == \
+                    brute.get(total, [0] * (n + 2)), (n, total, bound)
+
+
+def test_twist_dims_matches_brute_force_at_levels():
+    # h^0 counts the vectors without negatives, h^n those without
+    # nonnegatives; a box between two level steps is cut to the lower one
+    for n in range(4):
+        for bound in range(5):
+            brute = _brute_counts(n, bound)
+            for level in (1, 2, 3):
+                for box in (Fraction(bound, level),
+                            Fraction(2 * bound + 1, 2 * level)):
+                    for total in (-9, -4, -1, 0, 1, 3, 10):
+                        counts = brute.get(total, [0] * (n + 2))
+                        want = [0] * (n + 1)
+                        want[0] += counts[0]
+                        want[n] += counts[n + 1]
+                        m = Fraction(total, level)
+                        assert twist_dims(n, m, level, box).h == tuple(want)
+
+
+def test_twist_dims_beyond_enumeration():
+    # inclusion-exclusion: sum_i (-1)^i C(7,i) C(35-12i, 6) vectors in
+    # [-12,-1]^7 summing to -36; every other pattern contributes nothing
+    top = sum((-1) ** i * comb(7, i) * comb(35 - 12 * i, 6) for i in range(3))
+    assert top == 926233
+    assert twist_dims(6, -3, 12, 1).h == (0,) * 6 + (926233,)
+
+
+def test_out_of_range_parameters_rejected():
+    for level in (0, -1, -2):
+        with pytest.raises(DegreeLevelMismatch):
+            twist_dims(2, -3, level, 3)
+        for fn in (h0_basis, hn_basis, h0_count, hn_count):
+            with pytest.raises(DegreeLevelMismatch):
+                fn(2, -3, level)
+    with pytest.raises(NegativeDimension):
+        twist_dims(-1, -3, 1, 3)
+    for fn in (h0_basis, hn_basis, h0_count, hn_count):
+        with pytest.raises(NegativeDimension):
+            fn(-1, 0, 1)
+
+
+def test_box_below_one_level_step_is_empty():
+    # a box in (-1/D, 0) holds no multidegree, not even the zero vector
+    assert twist_dims(2, 0, 2, Fraction(-1, 3)).h == (0, 0, 0)
+    assert twist_dims(2, 0, 1, Fraction(-1, 2)).h == (0, 0, 0)
+    assert twist_dims(2, 0, 1, 0).h == (1, 0, 0)
 
 
 def test_multidegree_complex_over_prime_field():
