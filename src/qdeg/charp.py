@@ -29,33 +29,32 @@ def p_th_root(f):
                         for m, c in f.terms.items()})
 
 
+def _integer_root(x, b):
+    """The exact b-th root of an integer x >= 0, or None (Newton's method
+    on integers, so any size of x works)."""
+    if x < 2:
+        return x
+    if x.bit_length() <= b:  # 1 < x < 2^b: the root lies strictly in (1, 2)
+        return None
+    r = 1 << -(-x.bit_length() // b)  # above the root
+    while True:
+        s = ((b - 1) * r + x // r ** (b - 1)) // b
+        if s >= r:
+            break
+        r = s
+    return r if r ** b == x else None
+
+
 def _coefficient_root(field, c, b):
     """Exact b-th root of a coefficient, or None."""
     if field.characteristic == 0:
-
-        def iroot(x):
-            if x < 0:
-                return None
-            if x in (0, 1):
-                return x
-            r = max(1, int(round(x ** (1.0 / b))))
-            while r ** b > x:
-                r -= 1
-            while (r + 1) ** b <= x:
-                r += 1
-            return r if r ** b == x else None
-
-        if c < 0:
-            if b % 2 == 0:
-                return None
-            num = iroot(-c.numerator)
-            num = -num if num is not None else None
-        else:
-            num = iroot(c.numerator)
-        den = iroot(c.denominator)
+        if c < 0 and b % 2 == 0:
+            return None
+        num = _integer_root(abs(c.numerator), b)
+        den = _integer_root(c.denominator, b)
         if num is None or den is None:
             return None
-        return Fraction(num, den)
+        return Fraction(-num if c < 0 else num, den)
     p = field.characteristic
     for r in range(p):
         if pow(r, b, p) == c % p:

@@ -7,6 +7,7 @@ output is exact; fractions print as a/b.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,14 @@ from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
 
 
+# Options that take a fraction.  argparse reads a separate value such as
+# "-1/2" as an option, so run() glues it to its option as "--deg=-1/2".
+_FRACTION_OPTIONS = ("--deg", "--box", "--degree")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_ROOT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(text):
     try:
         return Fraction(text)
@@ -24,15 +33,36 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("not a fraction: %r" % text)
 
 
+def _point(text):
+    """L:u1,u2,... as (L, [u1, u2, ...]): an integer root order and roots
+    written as integers or a/b, checked before the field is known."""
+    order, colon, roots = text.partition(":")
+    order, roots = order.strip(), _split_vars(roots)
+    if not (colon and _INTEGER.fullmatch(order)
+            and all(_ROOT.fullmatch(r) for r in roots)):
+        raise argparse.ArgumentTypeError(
+            "not a point L:u1,u2,... with integer or a/b roots: %r" % text)
+    return int(order), roots
+
+
+def _glue_negative_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FRACTION_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _split_vars(text):
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _parse_point(field, text):
-    level_text, _, roots_text = text.partition(":")
-    order = int(level_text)
-    roots = tuple(field.parse(v) for v in _split_vars(roots_text))
-    return geometry.PointWithRoots(field, order, roots)
+def _parse_point(field, point):
+    order, roots = point
+    return geometry.PointWithRoots(field, order,
+                                   tuple(field.parse(r) for r in roots))
 
 
 def _mono_text(mono, varnames):
@@ -189,7 +219,7 @@ def _cmd_homog(args):
     field, varnames = _field_vars(args)
     f = parse(args.exprs[0], field, varnames)
     at = args.at if args.at is not None else len(varnames)
-    F = grading.homogenize(f, Fraction(args.degree), at)
+    F = grading.homogenize(f, args.degree, at)
     names = varnames[:at] + [args.new_var] + varnames[at:]
     text = print_poly(F, names)
     _emit(args, {"poly": text, "vars": names}, [text])
@@ -277,7 +307,7 @@ def _add_common(sub, exprs="*", ideal=False, point=False):
         sub.add_argument("--ideal", action="append", default=[],
                          help="ideal generator (repeatable)")
     if point:
-        sub.add_argument("--point", required=True,
+        sub.add_argument("--point", type=_point, required=True,
                          help="point with roots, as L:u1,u2,...")
     if exprs is not None:
         sub.add_argument("exprs", nargs=exprs)
@@ -312,7 +342,7 @@ def build_parser():
         if name == "dehomog":
             sub.add_argument("--chart", type=int, required=True)
         if name == "homog":
-            sub.add_argument("--degree", required=True)
+            sub.add_argument("--degree", type=_fraction, required=True)
             sub.add_argument("--new-var", default="h")
             sub.add_argument("--at", type=int, default=None)
 
@@ -366,7 +396,7 @@ def run(argv):
     """Dispatch one invocation; returns the process exit code."""
     top = build_parser()
     try:
-        args = top.parse_args(argv)
+        args = top.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

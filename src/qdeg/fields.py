@@ -167,6 +167,6 @@ def field_from_name(name):
     """Field from its CLI spelling: "q" or "fp:<p>"."""
     if name == "q":
         return QQ
-    if name.startswith("fp:"):
+    if name.startswith("fp:") and name[3:].isdecimal():
         return PrimeField(int(name[3:]))
     raise NotPrime("unknown field %r" % name)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import (NotUnivariate, PoleAtPoint, PointNotOnVariety,
-                     RootOrderMismatch, ZeroPolynomial)
+from .errors import (FieldMismatch, NotUnivariate, PoleAtPoint,
+                     PointNotOnVariety, RootOrderMismatch, ZeroPolynomial)
 from .flatten import flatten
 from .linalg import matrix_rank
 from .poly import Monomial, QPolynomial
@@ -24,6 +24,11 @@ class PointWithRoots:
     field: object
     order: int
     roots: tuple
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise RootOrderMismatch(
+                "root order %d is not positive" % self.order)
 
     @property
     def nvars(self):
@@ -41,6 +46,9 @@ class PointWithRoots:
 
 def evaluate(f, point):
     """Exact value of f at a point with compatible roots."""
+    if point.nvars != f.nvars:
+        raise FieldMismatch("point has %d coordinates, polynomial %d variables"
+                            % (point.nvars, f.nvars))
     field = f.field
     L = point.order
     total = field.zero
@@ -187,7 +195,7 @@ def tangent_space(gens, point):
     """Tangent space at a point of the variety: dimension and the linear
     equations sum_i (df_j/dX_i)(P) (X_i - x_i) = 0."""
     gens = list(gens)
-    field = gens[0].field
+    field = point.field
     for g in gens:
         if evaluate(g, point) != field.zero:
             raise PointNotOnVariety("a generator does not vanish at the point")

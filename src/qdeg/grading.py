@@ -4,7 +4,7 @@ predicative irrelevant-ideal membership test."""
 
 from fractions import Fraction
 
-from .errors import DegreeTooSmall, RootOrderMismatch
+from .errors import DegreeTooSmall, RootOrderMismatch, UnknownVariable
 from .geometry import evaluate
 from .poly import Monomial, QPolynomial
 
@@ -57,6 +57,9 @@ def scaling_check(f, lam_root, point):
 
 def dehomogenize(F, chart):
     """Set the chart variable to 1; the universe shrinks by one."""
+    if not 0 <= chart < F.nvars:
+        raise UnknownVariable("chart %d is not one of the variables 0..%d"
+                              % (chart, F.nvars - 1))
     out = []
     for mono, coeff in F.terms.items():
         pairs = []
@@ -72,6 +75,9 @@ def homogenize(f, d, new_index):
     """Insert a new variable at new_index and pad each term up to degree d.
 
     Inverse of dehomogenize on the same chart whenever deg f <= d."""
+    if not 0 <= new_index <= f.nvars:
+        raise UnknownVariable("position %d is outside 0..%d"
+                              % (new_index, f.nvars))
     d = Fraction(d)
     deg = f.total_degree()
     if deg is not None and deg > d:

@@ -2,15 +2,19 @@
 
 Everything runs in the flattened integer-exponent ring at the minimal joint
 level of the inputs (see flatten); answers there are answers in the union
-ring.  The engine is Buchberger's algorithm under degrevlex with the normal
-selection strategy and the two lcm pair criteria, followed by full
-inter-reduction.  Univariate Bezout GCDs come from the extended Euclidean
-algorithm on the flattened pair.
+ring.  The engine is Buchberger's algorithm under degrevlex: S-pairs wait in
+a heap and come out smallest lcm first (normal strategy), the Gebauer-Moeller
+update prunes them as each new element comes in, normal forms reduce in place
+in descending grevlex order, and a nonzero constant ends the run at once.
+Full inter-reduction follows.  Univariate Bezout GCDs come from the extended
+Euclidean algorithm on the flattened pair.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add, le, sub
 
 from .errors import NotUnivariate
 from .flatten import FlattenMap, exponent_lcm, flatten, flatten_one, unflatten
@@ -68,27 +72,87 @@ def _lead(fd):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _mono_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _coprime(a, b):
+    return not any(map(min, a, b))
 
 
-def _sub_scaled(fd, factor, shift, gd, field):
-    """fd - factor * X^shift * gd, in place on a copy."""
-    out = dict(fd)
-    for m, c in gd.items():
-        key = _mono_add(m, shift)
-        val = field.sub(out.get(key, field.zero), field.mul(factor, c))
+def _make_primitive(fd, lead, field):
+    """Over Q: clear denominators, divide by content, positive leading
+    coefficient.  Over F_p: make monic.  Controls coefficient growth between
+    reductions."""
+    if field.characteristic == 0:
+        den = lcm(*(c.denominator for c in fd.values()))
+        num = gcd(*(abs(c.numerator) for c in fd.values()))
+        scale = Fraction(den, num)
+        if fd[lead] < 0:
+            scale = -scale
+        return {m: c * scale for m, c in fd.items()}
+    inv = field.inv(fd[lead])
+    return {m: field.mul(c, inv) for m, c in fd.items()}
+
+
+def _divisor(lead, fd):
+    """A basis element as the normal form reads it: (leading monomial,
+    leading coefficient, the other terms)."""
+    return lead, fd[lead], [(m, c) for m, c in fd.items() if m != lead]
+
+
+def _normal_form(fd, divisors, field):
+    """Full reduction of every term of fd modulo the divisors.
+
+    Pending monomials sit in a min-heap keyed (-degree, reversed exponents),
+    which pops them in descending grevlex order, so the remainder lists its
+    leading monomial first.  A monomial whose term cancels stays in the heap
+    and is skipped when it comes up; work is reduced in place."""
+    work = dict(fd)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapify(heap)
+    remainder = {}
+    zero = field.zero
+    while heap:
+        m = heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for glm, glc, tail in divisors:
+            if _divides(glm, m):
+                factor = field.div(c, glc)
+                shift = tuple(map(sub, m, glm))
+                for gm, gc in tail:
+                    key = tuple(map(add, gm, shift))
+                    old = work.get(key)
+                    if old is None:
+                        work[key] = field.neg(field.mul(factor, gc))
+                        heappush(heap, (-sum(key), key[::-1], key))
+                        continue
+                    val = field.sub(old, field.mul(factor, gc))
+                    if val == zero:
+                        del work[key]
+                    else:
+                        work[key] = val
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _spoly(a, b, lcm_ab, field):
+    """lc(b) X^(lcm - lm(a)) a - lc(a) X^(lcm - lm(b)) b for two divisors;
+    the leading terms cancel and are left out."""
+    (la, ca, ta), (lb, cb, tb) = a, b
+    shift = tuple(map(sub, lcm_ab, la))
+    out = {tuple(map(add, m, shift)): field.mul(cb, c) for m, c in ta}
+    shift = tuple(map(sub, lcm_ab, lb))
+    for m, c in tb:
+        key = tuple(map(add, m, shift))
+        val = field.sub(out.get(key, field.zero), field.mul(ca, c))
         if val == field.zero:
             out.pop(key, None)
         else:
@@ -96,121 +160,70 @@ def _sub_scaled(fd, factor, shift, gd, field):
     return out
 
 
-def _make_primitive(fd, field):
-    """Over Q: clear denominators, divide by content, normalize sign.
-    Over F_p: make monic.  Controls coefficient growth between reductions."""
-    if not fd:
-        return fd
-    if field.characteristic == 0:
-        den = lcm(*(c.denominator for c in fd.values()))
-        num = gcd(*(abs(c.numerator) for c in fd.values()))
-        scale = Fraction(den, num)
-        if fd[_lead(fd)] < 0:
-            scale = -scale
-        return {m: c * scale for m, c in fd.items()}
-    inv = field.inv(fd[_lead(fd)])
-    return {m: field.mul(c, inv) for m, c in fd.items()}
-
-
-def _make_monic(fd, field):
-    if not fd:
-        return fd
-    inv = field.inv(fd[_lead(fd)])
-    return {m: field.mul(c, inv) for m, c in fd.items()}
-
-
-def _normal_form(fd, basis, field):
-    """Full reduction of every term of fd modulo the basis."""
-    leads = [(_lead(g), g) for g in basis if g]
-    work = dict(fd)
-    remainder = {}
-    while work:
-        lm = max(work, key=_grevlex_key)
-        lc = work[lm]
-        for glm, g in leads:
-            if _divides(glm, lm):
-                factor = field.div(lc, g[glm])
-                work = _sub_scaled(work, factor, _mono_sub(lm, glm), g, field)
-                break
-        else:
-            remainder[lm] = lc
-            del work[lm]
-    return remainder
-
-
-def _spoly(f, g, field):
-    lf, lg = _lead(f), _lead(g)
-    l = _mono_lcm(lf, lg)
-    a = _sub_scaled({}, field.neg(field.inv(f[lf])), _mono_sub(l, lf), f, field)
-    b = _sub_scaled({}, field.neg(field.inv(g[lg])), _mono_sub(l, lg), g, field)
-    out = dict(a)
-    for m, c in b.items():
-        val = field.sub(out.get(m, field.zero), c)
-        if val == field.zero:
-            out.pop(m, None)
-        else:
-            out[m] = val
-    return out
-
-
 def _buchberger(flats, field):
-    basis = [_make_primitive(f, field) for f in flats if f]
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    done = set()
+    """A minimal Groebner basis of the flats as a list of divisors, or just
+    the unit when a nonzero constant turns up.
+
+    Pairs wait in a heap keyed by the grevlex key of their lcm (normal
+    strategy); the Gebauer-Moeller update prunes them as each new element
+    comes in.  ``active`` holds the indices whose leading monomials are
+    minimal; only they reduce and only they form new pairs."""
+    basis, leads, active, pairs = [], [], [], []
+
+    def add_normal_form(f):
+        """Append the normal form of f unless it is 0; True for a constant."""
+        h = _normal_form(f, [basis[k] for k in active], field)
+        if not h:
+            return False
+        lh = next(iter(h))
+        h = _make_primitive(h, lh, field)
+        new = len(basis)
+        basis.append(_divisor(lh, h))
+        leads.append(lh)
+        # chain criterion among the new pairs: drop (new, k) when another
+        # new pair's lcm divides lcm(lh, lk), keeping one of equal lcms;
+        # coprime pairs take part here and are dropped afterwards
+        fresh = [(_mono_lcm(lh, leads[k]), k) for k in active]
+        kept = []
+        for idx, (l, k) in enumerate(fresh):
+            if _coprime(lh, leads[k]) or not any(
+                    _divides(l2, l) for l2, _ in fresh[idx + 1:] + kept):
+                kept.append((l, k))
+        # chain criterion on the old pairs: lh divides their lcm, which
+        # differs from both lcms with the new element
+        pairs[:] = [p for p in pairs
+                    if not _divides(lh, p[3])
+                    or _mono_lcm(leads[p[1]], lh) == p[3]
+                    or _mono_lcm(leads[p[2]], lh) == p[3]]
+        pairs.extend((_grevlex_key(l), new, k, l) for l, k in kept
+                     if not _coprime(lh, leads[k]))
+        heapify(pairs)
+        active[:] = [k for k in active if not _divides(lh, leads[k])]
+        active.append(new)
+        return not any(lh)
+
+    for f in sorted(filter(None, flats), key=lambda f: _grevlex_key(_lead(f))):
+        if add_normal_form(f):
+            return [basis[-1]]
     while pairs:
-        # normal strategy: smallest lcm in grevlex order first
-        pair = min(pairs, key=lambda ij: _grevlex_key(
-            _mono_lcm(_lead(basis[ij[0]]), _lead(basis[ij[1]]))))
-        pairs.discard(pair)
-        done.add(pair)
-        i, j = pair
-        li, lj = _lead(basis[i]), _lead(basis[j])
-        l = _mono_lcm(li, lj)
-        # criterion 1: coprime leading monomials
-        if l == _mono_add(li, lj):
-            continue
-        # criterion 2 (chain): some k with lt_k | lcm and both pairs handled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(_lead(basis[k]), l):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = _normal_form(_spoly(basis[i], basis[j], field), basis, field)
-        if h:
-            h = _make_primitive(h, field)
-            new_index = len(basis)
-            basis.append(h)
-            pairs.update((new_index, k) for k in range(new_index))
-    return basis
+        _, i, j, l = heappop(pairs)
+        if add_normal_form(_spoly(basis[i], basis[j], l, field)):
+            return [basis[-1]]
+    return [basis[k] for k in active]
 
 
-def _reduce_basis(basis, field):
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    order = sorted(range(len(basis)), key=lambda i: _grevlex_key(_lead(basis[i])))
-    kept_leads = []
-    keep = []
-    for i in order:
-        lg = _lead(basis[i])
-        if any(_divides(l, lg) for l in kept_leads):
-            continue
-        kept_leads.append(lg)
-        keep.append(basis[i])
+def _reduce_basis(divisors, field):
+    """Inter-reduce a minimal basis and make it monic; over F_p the elements
+    are monic already and reduction keeps the leading terms."""
+    divisors = sorted(divisors, key=lambda d: _grevlex_key(d[0]))
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _normal_form(g, others, field) if others else dict(g)
-        if r:
-            reduced.append(_make_monic(r, field))
-    reduced.sort(key=lambda g: _grevlex_key(_lead(g)))
+    for i, (lead, lc, tail) in enumerate(divisors):
+        others = divisors[:i] + divisors[i + 1:]
+        r = _normal_form(dict(tail), others, field)
+        r = {lead: lc, **r}
+        if lc != field.one:
+            r = {m: field.div(c, lc) for m, c in r.items()}
+        reduced.append(r)
     return reduced
 
 
@@ -240,7 +253,8 @@ def ideal_member(f, gens, level=None):
     field = f.field
     flat_f = _to_flat(flatten_one(f, fmap))
     basis = [_to_flat(g) for g in gb.basis]
-    return not _normal_form(flat_f, basis, field)
+    divisors = [_divisor(_lead(g), g) for g in basis]
+    return not _normal_form(flat_f, divisors, field)
 
 
 def radical_member(f, gens, level=None):
@@ -263,7 +277,7 @@ def radical_member(f, gens, level=None):
     one = QPolynomial.constant(field, n + 1, 1)
     trick = [widen(g) for g in flat_gens] + [widen(flat_f) * t - one]
     basis = _buchberger([_to_flat(g) for g in trick], field)
-    return any(g and _lead(g) == (0,) * (n + 1) for g in basis)
+    return any(not any(lead) for lead, _, _ in basis)
 
 
 def is_proper(gens, level=None):

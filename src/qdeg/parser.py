@@ -13,10 +13,11 @@ Grammar (whitespace-insensitive):
     coefficient := integer | integer '/' positive-integer
     variable  := letter (letter|digit)*
 
-Implicit multiplication is rejected.  Fractional powers of parenthesized
-expressions go through charp.fractional_power and may raise
-CompositionNotPolynomial.  print emits the canonical form (descending
-graded-lex terms) and parse(print(f)) == f.
+Implicit multiplication is rejected, and so are parentheses nested more
+than MAX_NESTING deep (the parser recurses once per level).  Fractional
+powers of parenthesized expressions go through charp.fractional_power and
+may raise CompositionNotPolynomial.  print emits the canonical form
+(descending graded-lex terms) and parse(print(f)) == f.
 """
 
 from fractions import Fraction
@@ -24,6 +25,8 @@ from fractions import Fraction
 from .charp import fractional_power
 from .errors import ExpressionSyntaxError, UnknownVariable
 from .poly import QPolynomial
+
+MAX_NESTING = 100
 
 
 class _Tokens:
@@ -76,6 +79,7 @@ class _Parser:
         self.varnames = list(varnames)
         self.index = {name: i for i, name in enumerate(self.varnames)}
         self.nvars = len(self.varnames)
+        self.depth = 0
 
     def parse(self):
         poly = self.expr()
@@ -114,8 +118,13 @@ class _Parser:
         if ch.isdigit():
             return self.coefficient()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError("parentheses nested deeper than %d"
+                                            % MAX_NESTING, self.toks.pos)
             self.toks.expect("(")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.toks.expect(")")
             if self.toks.take("^"):
                 return fractional_power(inner, self.exponent())

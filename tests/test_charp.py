@@ -10,6 +10,7 @@ from qdeg.charp import (PolynomialMap, compose, compose_maps,
 from qdeg.errors import CompositionNotPolynomial, FieldMismatch, NotPrimeField
 from qdeg.fields import QQ, PrimeField
 from qdeg.parser import parse
+from qdeg.poly import QPolynomial
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -55,6 +56,23 @@ def test_fractional_power_monomial():
         qq_poly("x^(3/2)", ["x"])
     with pytest.raises(CompositionNotPolynomial):
         fractional_power(qq_poly("2*x", ["x"]), Fraction(1, 2))
+
+
+def test_fractional_power_of_huge_coefficients():
+    # 400-digit numerators and denominators are far beyond float range
+    root = Fraction(10 ** 200 - 3, 3 ** 419)
+    assert len(str(root.numerator ** 2)) == 400
+    assert len(str(root.denominator ** 2)) == 400
+    m = QPolynomial.constant(QQ, 1, root ** 2) * qq_poly("x^2", ["x"])
+    assert fractional_power(m, Fraction(1, 2)) == \
+        QPolynomial.constant(QQ, 1, root) * qq_poly("x", ["x"])
+    cube = QPolynomial.constant(QQ, 1, -root ** 3)
+    assert fractional_power(cube, Fraction(2, 3)) == \
+        QPolynomial.constant(QQ, 1, root ** 2)
+    for not_a_square in (root ** 2 + 1, Fraction(10 ** 400 - 1), -root ** 2):
+        with pytest.raises(CompositionNotPolynomial):
+            fractional_power(QPolynomial.constant(QQ, 1, not_a_square),
+                             Fraction(1, 2))
 
 
 def test_fractional_power_sum_needs_char_p():

@@ -98,6 +98,15 @@ def _fraction_text(num_range, den_range):
     return st.one_of(st.integers(*num_range).map(str), exact, _GARBAGE)
 
 
+def _assert_clean_exit(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.one_of(st.integers(-2, 3).map(str), _GARBAGE),
        deg=_fraction_text((-4, 4), (-1, 3)),
@@ -106,14 +115,78 @@ def _fraction_text(num_range, den_range):
        extra=st.sampled_from([(), ("--json",), ("--basis", "h0"),
                               ("--basis", "hn")]))
 def test_cech_fuzz_exit_codes(n, deg, den, box, extra):
-    argv = ["cech", "--n=" + n, "--deg=" + deg, "--den=" + den,
-            "--box=" + box, *extra]
-    out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    _assert_clean_exit(["cech", "--n=" + n, "--deg=" + deg, "--den=" + den,
+                        "--box=" + box, *extra])
+
+
+_FIELDS = st.sampled_from(["q", "fp:5", "fp:7", "fp:4", "fp:", "fp:x", "r"])
+_VARS = st.sampled_from(["", "x", "x,y", "x,y,z", "y,x", "x,x", ",", "1x"])
+_EXPRS = st.one_of(
+    st.sampled_from(["x - 1", "x^(1/2) - y", "x*y - 1", "x^2 - y^3", "0",
+                     "z", "x^(-1)", "(x + y)^(1/2)", "x^(1/3) + 1"]),
+    st.text(alphabet="xyz^()/-+*12 ", max_size=6))
+_ROOT = st.one_of(st.integers(-3, 5).map(str),
+                  st.builds(lambda p, q: "%d/%d" % (p, q), st.integers(-3, 3),
+                            st.integers(-1, 3)))
+_POINTS = st.one_of(
+    st.builds(lambda order, roots: "%s:%s" % (order, ",".join(roots)),
+              st.integers(-1, 6), st.lists(_ROOT, max_size=4)),
+    st.text(alphabet="a1:,/- ", max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, gens=st.lists(_EXPRS, max_size=3),
+       point=_POINTS, json_flag=st.booleans())
+def test_tangent_fuzz_exit_codes(field, names, gens, point, json_flag):
+    argv = ["tangent", "--field", field, "--vars", names, "--point=" + point]
+    for g in gens:
+        argv += ["--ideal", g]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, expr=_EXPRS,
+       chart=st.one_of(st.integers(-3, 4).map(str), _GARBAGE),
+       json_flag=st.booleans())
+def test_dehomog_fuzz_exit_codes(field, names, expr, chart, json_flag):
+    argv = ["dehomog", "--field", field, "--vars", names, "--chart=" + chart,
+            "--", expr]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+def test_point_and_chart_errors(cli):
+    code, out, err = cli("tangent", "--vars", "x", "--ideal", "x - 1",
+                         "--point", "a:1")
+    assert (code, out) == (2, "") and "argument --point" in err
+    code, out, err = cli("tangent", "--vars", "x,y", "--ideal", "x - 1",
+                         "--point", "1:1")
+    assert (code, out) == (1, "") and err.startswith("FieldMismatch:")
+    code, out, err = cli("eval", "--vars", "x", "--point", "0:1", "x")
+    assert (code, out) == (1, "") and err.startswith("RootOrderMismatch:")
+    code, out, _ = cli("tangent", "--vars", "x,y", "--point", "1:2,3")
+    assert (code, out) == (0, "dim: 2\n")
+    code, out, err = cli("dehomog", "--vars", "x,y", "--chart", "5", "x + y")
+    assert (code, out) == (1, "") and err.startswith("UnknownVariable:")
+    code, out, err = cli("homog", "--vars", "x", "--degree", "2", "--at", "3",
+                         "x")
+    assert (code, out) == (1, "") and err.startswith("UnknownVariable:")
+    code, out, err = cli("parse", "--field", "fp:x", "--vars", "x", "x")
+    assert (code, out) == (1, "") and err.startswith("NotPrime:")
+
+
+def test_negative_fraction_as_separate_argument(cli):
+    for deg, box in (("-1/2", "1"), ("-3/2", "-1/2"), ("-2", "1/2")):
+        glued = cli("cech", "--n", "1", "--deg=" + deg, "--den", "2",
+                    "--box=" + box)
+        separate = cli("cech", "--n", "1", "--deg", deg, "--den", "2",
+                       "--box", box)
+        assert separate == glued and glued[0] == 0
+    glued = cli("homog", "--vars", "x", "--degree=-1/2", "x^(-1)")
+    separate = cli("homog", "--vars", "x", "--degree", "-1/2", "x^(-1)")
+    assert separate == glued == (0, "x^(-1)*h^(1/2)\n", "")
+    code, _, err = cli("cech", "--n", "1", "--deg", "-x", "--den", "2",
+                       "--box", "1")
+    assert code == 2 and "Traceback" not in err
 
 
 def test_roots_command(cli):

@@ -8,7 +8,8 @@ from helpers import random_poly
 from qdeg.errors import (CompositionNotPolynomial, ExpressionSyntaxError,
                          UnknownVariable)
 from qdeg.fields import QQ, PrimeField
-from qdeg.parser import from_term_list, parse, print_poly, to_term_list
+from qdeg.parser import (MAX_NESTING, from_term_list, parse, print_poly,
+                         to_term_list)
 from qdeg.poly import Monomial, QPolynomial
 
 F5 = PrimeField(5)
@@ -86,6 +87,19 @@ def test_syntax_error_position():
         parse("2x", QQ, ["x"])
     with pytest.raises(ExpressionSyntaxError):
         parse("x^(1/0)", QQ, ["x"])
+
+
+def test_nesting_depth_limit():
+    x = parse("x", QQ, ["x"])
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(deepest, QQ, ["x"]) == x
+    assert parse("(" * MAX_NESTING + "x)" + "*(x" + ")" * MAX_NESTING,
+                 QQ, ["x"]) == x * x
+    for depth in (MAX_NESTING + 1, 2000, 100000):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse("(" * depth + "x" + ")" * depth, QQ, ["x"])
+        assert exc.value.position == MAX_NESTING
+        assert exc.value.ident == "SyntaxError"
 
 
 def test_unknown_variable():
