@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import charp, cohomology, flatten, geometry, grading, ideals
-from .errors import QdegError
+from .errors import FieldMismatch, QdegError
 from .fields import field_from_name
 from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
@@ -53,6 +53,15 @@ def _glue_negative_values(argv):
         else:
             out.append(arg)
     return out
+
+
+def _reject_empty_values(top, argv):
+    """argparse reads ``--opt=--`` as an empty list, not as a missing value."""
+    for arg in argv:
+        if arg == "--":
+            return
+        if arg.startswith("--") and arg.endswith("=--"):
+            top.error("argument %s: expected one argument" % arg[:-3])
 
 
 def _split_vars(text):
@@ -281,7 +290,7 @@ def _cmd_compose(args):
     f = parse(args.exprs[0], field, outer_vars)
     gs = [parse(e, field, inner_vars) for e in args.exprs[1:]]
     if len(gs) != len(outer_vars):
-        raise QdegError("expected %d inner polynomials" % len(outer_vars))
+        raise FieldMismatch("expected %d inner polynomials" % len(outer_vars))
     result = charp.compose(f, gs)
     text = print_poly(result, inner_vars)
     _emit(args, {"poly": text}, [text])
@@ -396,6 +405,7 @@ def run(argv):
     """Dispatch one invocation; returns the process exit code."""
     top = build_parser()
     try:
+        _reject_empty_values(top, argv)
         args = top.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0

@@ -25,6 +25,10 @@ class NotPrime(QdegError):
     pass
 
 
+class PrimeTooLarge(NotPrime):
+    """A modulus too large for the deterministic primality test."""
+
+
 class FieldMismatch(QdegError):
     pass
 

@@ -8,20 +8,37 @@ stay field-agnostic.
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotInvertible, NotPrime
+from .errors import DivisionByZero, NotInvertible, NotPrime, PrimeTooLarge
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson & Webster 2015)
+MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p):
-    """Deterministic trial division; p is desk-scale (< 2**31)."""
+    """Deterministic Miller-Rabin with the prime bases 2..41, exact for
+    p < MR_LIMIT (about 3.3e24); a larger p raises PrimeTooLarge."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MR_LIMIT:
+        raise PrimeTooLarge("primality is decided only below %d" % MR_LIMIT)
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

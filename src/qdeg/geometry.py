@@ -3,7 +3,9 @@
 A point is stored together with compatible roots of its coordinates: the
 value u_i stands for x_i^(1/L), so x_i = u_i^L and every fractional power
 X_i^(a/b) with b | L evaluates exactly as u_i^(aL/b).  No root extraction
-ever happens.
+ever happens.  The integer powers aL/b are worked out once per polynomial
+and order, so a variety scan converts each generator once, not once per
+point.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,11 @@ from .linalg import matrix_rank
 from .poly import Monomial, QPolynomial
 
 
+def _check_order(order):
+    if order < 1:
+        raise RootOrderMismatch("root order %d is not positive" % order)
+
+
 @dataclass(frozen=True)
 class PointWithRoots:
     """Root order L and root values u_1..u_n (x_i = u_i^L)."""
@@ -26,9 +33,7 @@ class PointWithRoots:
     roots: tuple
 
     def __post_init__(self):
-        if self.order < 1:
-            raise RootOrderMismatch(
-                "root order %d is not positive" % self.order)
+        _check_order(self.order)
 
     @property
     def nvars(self):
@@ -44,28 +49,42 @@ class PointWithRoots:
                               tuple(f.mul(lam_root, u) for u in self.roots))
 
 
-def evaluate(f, point):
-    """Exact value of f at a point with compatible roots."""
-    if point.nvars != f.nvars:
-        raise FieldMismatch("point has %d coordinates, polynomial %d variables"
-                            % (point.nvars, f.nvars))
-    field = f.field
-    L = point.order
-    total = field.zero
+def _root_powers(f, order):
+    """The terms of f as (coeff, ((var, integer power), ...)): at root order
+    L the exponent a/b of x_i is the power aL/b of the root u_i."""
+    terms = []
     for mono, coeff in f.terms.items():
-        val = coeff
+        powers = []
         for i, e in mono.exps:
-            if L % e.denominator != 0:
+            if order % e.denominator != 0:
                 raise RootOrderMismatch(
                     "exponent denominator %d does not divide root order %d"
-                    % (e.denominator, L))
-            power = int(e * L)
-            u = point.roots[i]
+                    % (e.denominator, order))
+            powers.append((i, e.numerator * (order // e.denominator)))
+        terms.append((coeff, tuple(powers)))
+    return terms
+
+
+def _evaluate_powers(field, terms, roots):
+    """Value of terms from _root_powers at the root values ``roots``."""
+    total = field.zero
+    for coeff, powers in terms:
+        val = coeff
+        for i, power in powers:
+            u = roots[i]
             if power < 0 and u == field.zero:
                 raise PoleAtPoint("negative power of zero coordinate %d" % i)
             val = field.mul(val, field.pow(u, power))
         total = field.add(total, val)
     return total
+
+
+def evaluate(f, point):
+    """Exact value of f at a point with compatible roots."""
+    if point.nvars != f.nvars:
+        raise FieldMismatch("point has %d coordinates, polynomial %d variables"
+                            % (point.nvars, f.nvars))
+    return _evaluate_powers(f.field, _root_powers(f, point.order), point.roots)
 
 
 def _integer_root_candidates(coeffs):
@@ -145,12 +164,17 @@ def variety_bruteforce(gens, order):
     p = field.characteristic
     if p is None or p == 0:
         raise RootOrderMismatch("brute force enumeration needs a finite field")
+    _check_order(order)
+    for g in generators[1:]:
+        g._check_compatible(generators[0])
     n = generators[0].nvars
+    gen_terms = [_root_powers(g, order) for g in generators]
     points = []
     seen = set()
     for roots in product(range(p), repeat=n):
-        point = PointWithRoots(field, order, roots)
-        if all(evaluate(g, point) == field.zero for g in generators):
+        if all(_evaluate_powers(field, terms, roots) == field.zero
+               for terms in gen_terms):
+            point = PointWithRoots(field, order, roots)
             coords = point.coordinates()
             if coords not in seen:
                 seen.add(coords)

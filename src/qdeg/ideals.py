@@ -7,7 +7,8 @@ a heap and come out smallest lcm first (normal strategy), the Gebauer-Moeller
 update prunes them as each new element comes in, normal forms reduce in place
 in descending grevlex order, and a nonzero constant ends the run at once.
 Full inter-reduction follows.  Univariate Bezout GCDs come from the extended
-Euclidean algorithm on the flattened pair.
+Euclidean algorithm on the flattened pair, run on monic remainders: only the
+f-cofactor u is carried, and v = (d - u*f)/g is one exact division at the end.
 """
 
 from dataclasses import dataclass
@@ -306,6 +307,13 @@ def _trim(coeffs, field):
     return coeffs
 
 
+def _monic(r, u, field):
+    """r and u divided by the leading coefficient of r."""
+    inv_lead = field.inv(r[-1])
+    return ([field.mul(c, inv_lead) for c in r],
+            [field.mul(c, inv_lead) for c in u])
+
+
 def _poly_divmod(a, b, field):
     a = list(a)
     q = [field.zero] * max(len(a) - len(b) + 1, 0)
@@ -350,21 +358,27 @@ def gcd_univariate(f, g):
     if f.is_zero() and g.is_zero():
         return zero, zero, zero
     fmap, (ff, gg) = flatten([f, g])
-    r0, r1 = (_dense_univariate(_to_flat(ff), field),
+    fd, gd = (_dense_univariate(_to_flat(ff), field),
               _dense_univariate(_to_flat(gg), field))
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
+    # monic remainder sequence; each u is the f-cofactor of its remainder
+    r0, u0 = _monic(fd, [field.one], field) if fd else (fd, [field.one])
+    r1, u1 = _monic(gd, [], field) if gd else (gd, [])
     while r1:
         q, r = _poly_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, field), field)
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1, field), field)
-    inv_lead = field.inv(r0[-1])
-    scale = lambda cs: [field.mul(c, inv_lead) for c in cs]
-    r0, u0, v0 = scale(r0), scale(u0), scale(v0)
+        u = []
+        if r:
+            r, u = _monic(r, _poly_sub(u0, _poly_mul(q, u1, field), field),
+                          field)
+        r0, u0, r1, u1 = r1, u1, r, u
+    v = []
+    if gd:
+        v, rem = _poly_divmod(_poly_sub(r0, _poly_mul(u0, fd, field), field),
+                              gd, field)
+        if rem:
+            raise ArithmeticError("gcd_univariate: g does not divide d - u*f")
 
     def lift(coeffs):
-        fd = {(i,): c for i, c in enumerate(coeffs) if c != field.zero}
-        return unflatten(fmap, _from_flat(field, 1, fd))
+        terms = {(i,): c for i, c in enumerate(coeffs) if c != field.zero}
+        return unflatten(fmap, _from_flat(field, 1, terms))
 
-    return lift(r0), lift(u0), lift(v0)
+    return lift(r0), lift(u0), lift(v)

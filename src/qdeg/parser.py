@@ -89,21 +89,24 @@ class _Parser:
         return poly
 
     def expr(self):
-        negate = False
-        if self.toks.take("-"):
-            negate = True
-        else:
+        """Sum the terms' coefficients into one dict and build the
+        polynomial once (adding polynomial by polynomial is quadratic)."""
+        field = self.field
+        acc = {}
+        negate = self.toks.take("-")
+        if not negate:
             self.toks.take("+")
-        poly = self.term()
-        if negate:
-            poly = -poly
         while True:
+            for mono, coeff in self.term().terms.items():
+                if negate:
+                    coeff = field.neg(coeff)
+                acc[mono] = field.add(acc.get(mono, field.zero), coeff)
             if self.toks.take("+"):
-                poly = poly + self.term()
+                negate = False
             elif self.toks.take("-"):
-                poly = poly - self.term()
+                negate = True
             else:
-                return poly
+                return QPolynomial(field, self.nvars, acc)
 
     def term(self):
         poly = self.factor()

@@ -1,6 +1,7 @@
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,63 @@ def test_dehomog_fuzz_exit_codes(field, names, expr, chart, json_flag):
     _assert_clean_exit(argv + (["--json"] if json_flag else []))
 
 
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, exprs=st.lists(_EXPRS, max_size=3),
+       json_flag=st.booleans())
+def test_parse_and_gcd_fuzz_exit_codes(field, names, exprs, json_flag):
+    for command in ("parse", "gcd"):
+        argv = [command, "--field", field, "--vars", names, "--", *exprs]
+        _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, expr=_EXPRS, point=_POINTS,
+       json_flag=st.booleans())
+def test_eval_fuzz_exit_codes(field, names, expr, point, json_flag):
+    argv = ["eval", "--field", field, "--vars", names, "--point=" + point,
+            "--", expr]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, gens=st.lists(_EXPRS, max_size=3),
+       level=st.one_of(st.integers(-1, 4).map(str), _GARBAGE),
+       json_flag=st.booleans())
+def test_variety_fuzz_exit_codes(field, names, gens, level, json_flag):
+    argv = ["variety", "--field", field, "--vars", names,
+            "--point-level=" + level]
+    for g in gens:
+        argv += ["--ideal", g]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, outer=_VARS,
+       exprs=st.lists(_EXPRS, max_size=4), json_flag=st.booleans())
+def test_compose_fuzz_exit_codes(field, names, outer, exprs, json_flag):
+    argv = ["compose", "--field", field, "--vars", names,
+            "--outer-vars=" + outer, "--", *exprs]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+
+
+def test_compose_arity_error(cli):
+    code, out, err = cli("compose", "--outer-vars", "a,b", "--vars", "x",
+                         "a*b", "x")
+    assert (code, out) == (1, "")
+    assert err.startswith("FieldMismatch:")
+
+
+def test_large_prime_field_answers_at_once(cli):
+    start = perf_counter()
+    code, out, err = cli("parse", "--field", "fp:100000000000000000039",
+                         "--vars", "x", "x")
+    assert perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "x\n", "")
+    code, out, err = cli("parse", "--field", "fp:%d" % 10 ** 25, "--vars", "x",
+                         "x")
+    assert (code, out) == (1, "") and err.startswith("PrimeTooLarge:")
+
+
 def test_point_and_chart_errors(cli):
     code, out, err = cli("tangent", "--vars", "x", "--ideal", "x - 1",
                          "--point", "a:1")
@@ -235,3 +293,13 @@ def test_compose_command(cli):
     code, _, err = cli("compose", "--vars", "x", "--outer-vars", "t",
                        "1 + t^(1/2) + t^2", "1 + x")
     assert code == 1 and err.startswith("CompositionNotPolynomial:")
+
+
+def test_double_dash_option_value_is_usage_error(cli):
+    for argv in (("cech", "--n=--", "--deg", "0", "--den", "1", "--box", "1"),
+                 ("eval", "--vars", "x", "--point=--", "x"),
+                 ("parse", "--field=--", "--vars", "x", "x")):
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "") and "expected one argument" in err
+    code, out, _ = cli("parse", "--vars", "x", "--", "--x=--")
+    assert (code, out) == (1, "")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qdeg.errors import DivisionByZero, NotInvertible, NotPrime
-from qdeg.fields import QQ, PrimeField, field_from_name, fp_inv, rat_reduce
+from qdeg.errors import DivisionByZero, NotInvertible, NotPrime, PrimeTooLarge
+from qdeg.fields import (MR_LIMIT, QQ, PrimeField, field_from_name, fp_inv,
+                         is_prime, rat_reduce)
 
 
 def test_rat_reduce_examples():
@@ -73,3 +74,41 @@ def test_prime_field_text_form():
     assert f5.parse("7") == 2
     assert f5.parse("1/2") == 3  # 2*3 = 6 = 1 mod 5
     assert QQ.format(Fraction(-3, 7)) == "-3/7"
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 30000) if is_prime(n)] == \
+        [n for n in range(-3, 30000) if _trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+                  29341, 41041, 62745, 63973, 75361, 101101, 126217, 172081,
+                  188461, 252601, 278545, 294409, 314821, 334153, 340561,
+                  399001, 410041, 449065, 488881, 512461]
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, by factors
+    strong = [151 * 751 * 28351, 149491 * 747451 * 34233211,
+              399165290221 * 798330580441]
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+
+
+def test_is_prime_large_primes():
+    # the largest primes below 2^31, 2^32, 2^61 and 2^64
+    for bits, gap in ((31, 1), (32, 5), (61, 1), (64, 59)):
+        assert is_prime(2 ** bits - gap)
+        assert not any(is_prime(n) for n in range(2 ** bits - gap + 1, 2 ** bits))
+    assert is_prime(100000000000000000039)
+    PrimeField(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    for n in (MR_LIMIT, 10 ** 25 + 13, 2 ** 89 - 1):
+        with pytest.raises(PrimeTooLarge):
+            PrimeField(n)
+        with pytest.raises(NotPrime):
+            field_from_name("fp:%d" % n)

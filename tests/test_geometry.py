@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import qq_poly, random_poly
 from qdeg.errors import (NotUnivariate, PoleAtPoint, PointNotOnVariety,
@@ -231,3 +233,98 @@ def test_tangent_rank_invariance_randomized():
             continue
         assert dim1 == dim2
         done += 1
+
+
+# ---- differential: evaluate and variety_bruteforce against a Fraction-
+# exponent evaluator written here ----
+
+def _oracle_value(f, order, roots):
+    field = f.field
+    total = field.zero
+    for mono, coeff in f.terms.items():
+        for i, e in mono.exps:
+            power = e * order
+            if power.denominator != 1:
+                raise RootOrderMismatch("denominator")
+            if power < 0 and roots[i] == 0:
+                raise PoleAtPoint("pole")
+            if field.characteristic:
+                coeff = coeff * pow(roots[i], int(power), field.p) % field.p
+            else:
+                coeff = coeff * Fraction(roots[i]) ** int(power)
+        total = field.add(total, coeff)
+    return total
+
+
+def _oracle_variety(gens, order):
+    field = gens[0].field
+    p = field.characteristic
+    found = {}
+    for roots in product(range(p), repeat=gens[0].nvars):
+        if all(_oracle_value(g, order, roots) == 0 for g in gens):
+            found.setdefault(tuple(pow(u, order, p) for u in roots), roots)
+    return list(found.values())
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (PoleAtPoint, RootOrderMismatch) as exc:
+        return type(exc)
+
+
+_SMALL_POLY = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-2, 4), st.integers(-2, 4),
+              st.booleans()),
+    min_size=1, max_size=3)
+
+
+def _poly_at_order(field, spec, order):
+    """Exponents are k/order (half-integers at order 2), Laurent allowed."""
+    pairs = [(Monomial.make([(0, Fraction(a, order)),
+                             (1, Fraction(b, order) if use_y else 0)]),
+              field.coerce(c)) for c, a, b, use_y in spec]
+    return QPolynomial.from_terms(field, 2, pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from([QQ, F5, PrimeField(7)]),
+       order=st.sampled_from([1, 2]), spec=_SMALL_POLY,
+       roots=st.tuples(st.integers(-3, 4), st.integers(-3, 4)))
+def test_evaluate_matches_fraction_exponent_oracle(field, order, spec, roots):
+    f = _poly_at_order(field, spec, order)
+    point = PointWithRoots(field, order, tuple(field.coerce(u) for u in roots))
+    assert (_outcome(lambda: evaluate(f, point))
+            == _outcome(lambda: _oracle_value(f, order, point.roots)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([F3, F5]), order=st.sampled_from([1, 2]),
+       specs=st.lists(_SMALL_POLY, min_size=1, max_size=2))
+def test_variety_matches_fraction_exponent_oracle(field, order, specs):
+    gens = [_poly_at_order(field, spec, order) for spec in specs]
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    try:
+        points = variety_bruteforce(IdealPresentation(gens), order)
+    except PoleAtPoint:
+        with pytest.raises(PoleAtPoint):
+            _oracle_variety(gens, order)
+        return
+    assert [pt.roots for pt in points] == _oracle_variety(gens, order)
+    assert all(pt.order == order and pt.field == field for pt in points)
+
+
+def test_variety_root_order_checked_for_every_generator():
+    # the first generator never vanishes, so the scan never evaluates the
+    # second; its denominator 3 still does not divide the order 2
+    gens = IdealPresentation((parse("1", F5, ["x"]),
+                              parse("x^(1/3) - 1", F5, ["x"])))
+    with pytest.raises(RootOrderMismatch):
+        variety_bruteforce(gens, 2)
+    with pytest.raises(RootOrderMismatch):
+        variety_bruteforce(IdealPresentation((parse("x - 1", F5, ["x"]),)), 0)
+    laurent = IdealPresentation((parse("x^(-1/2) - 1", F5, ["x"]),))
+    with pytest.raises(PoleAtPoint):
+        variety_bruteforce(laurent, 2)

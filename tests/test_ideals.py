@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import qq_poly, random_poly, univariate
 from qdeg.errors import NotUnivariate
 from qdeg.fields import QQ, PrimeField
-from qdeg.flatten import exponent_lcm
+from qdeg.flatten import exponent_lcm, flatten, unflatten
 from qdeg.ideals import (IdealPresentation, gcd_univariate, groebner,
                          ideal_member, is_proper, radical_member)
-from qdeg.poly import QPolynomial
+from qdeg.poly import Monomial, QPolynomial
 
 F5 = PrimeField(5)
 
@@ -182,3 +183,99 @@ def test_proper_implies_common_zero_over_f5():
         gens = IdealPresentation(tuple(parse(t, F5, varnames) for t in texts))
         assert is_proper(gens)
         assert variety_bruteforce(gens, level)
+
+
+# ---- differential: gcd_univariate against the textbook extended Euclid ----
+
+def _two_cofactor_gcd(f, g):
+    """Extended Euclid on the raw remainders with both cofactor recurrences,
+    made monic at the end; the reference for gcd_univariate."""
+    field = f.field
+    if f.is_zero() and g.is_zero():
+        return f, f, f
+    fmap, flat = flatten([f, g])
+
+    def dense(h):
+        out = {int(m.exponent(0)): c for m, c in h.terms.items()}
+        return [out.get(i, field.zero) for i in range(max(out, default=-1) + 1)]
+
+    def trim(a):
+        while a and a[-1] == field.zero:
+            a.pop()
+        return a
+
+    def sub(a, b):
+        a = a + [field.zero] * (len(b) - len(a))
+        return trim([field.sub(x, b[i]) if i < len(b) else x
+                     for i, x in enumerate(a)])
+
+    def mul(a, b):
+        out = [field.zero] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+        return trim(out)
+
+    def divmod_(a, b):
+        q = [field.zero] * max(len(a) - len(b) + 1, 0)
+        while len(a) >= len(b):
+            shift = len(a) - len(b)
+            q[shift] = field.div(a[-1], b[-1])
+            a = sub(a, [field.zero] * shift + [field.mul(q[shift], c) for c in b])
+        return q, a
+
+    (r0, u0, v0), (r1, u1, v1) = ((dense(flat[0]), [field.one], []),
+                                  (dense(flat[1]), [], [field.one]))
+    while r1:
+        q, r = divmod_(r0, r1)
+        (r0, u0, v0), (r1, u1, v1) = ((r1, u1, v1),
+                                      (r, sub(u0, mul(q, u1)), sub(v0, mul(q, v1))))
+    inv = field.inv(r0[-1])
+
+    def lift(a):
+        return unflatten(fmap, QPolynomial.from_terms(
+            field, 1, [(Monomial.make([(0, i)]), field.mul(c, inv))
+                       for i, c in enumerate(a)]))
+
+    return lift(r0), lift(u0), lift(v0)
+
+
+def _flat_degree(h, fmap):
+    return -1 if h.is_zero() else int(flatten([h], fmap)[1][0].total_degree())
+
+
+_UNIVARIATE = st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 5),
+                                 st.sampled_from([1, 1, 2, 3])), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([QQ, PrimeField(7)]), fspec=_UNIVARIATE,
+       gspec=_UNIVARIATE, shape=st.sampled_from(["free", "g|f", "const"]))
+def test_gcd_matches_two_cofactor_euclid(field, fspec, gspec, shape):
+    f = univariate(field, [(Fraction(a, b), c) for c, a, b in fspec])
+    g = univariate(field, [(Fraction(a, b), c) for c, a, b in gspec])
+    if shape == "g|f":
+        f = f * g
+    elif shape == "const":
+        f = QPolynomial.constant(field, 1, len(fspec))
+    result = gcd_univariate(f, g)
+    assert result == _two_cofactor_gcd(f, g)
+    d, u, v = result
+    assert u * f + v * g == d
+    if not (f.is_zero() or g.is_zero()):
+        # the cofactors of least degree: deg u < deg g - deg d and
+        # deg v < deg f - deg d, or constant where that bound is empty
+        fmap = exponent_lcm([f, g])
+        df, dg, dd = (_flat_degree(h, fmap) for h in (f, g, d))
+        assert _flat_degree(u, fmap) <= max(dg - dd - 1, 0)
+        assert _flat_degree(v, fmap) <= max(df - dd - 1, 0)
+
+
+def test_gcd_edge_cases_match_two_cofactor_euclid():
+    for field in (QQ, PrimeField(7)):
+        x = univariate(field, [(Fraction(1, 2), 1), (0, 3)])
+        zero = QPolynomial.zero(field, 1)
+        two = QPolynomial.constant(field, 1, 2)
+        for f, g in ((zero, zero), (zero, x), (x, zero), (two, x), (x, two),
+                     (two, two), (x * x, x), (x, x * x), (x.scale(3), x)):
+            assert gcd_univariate(f, g) == _two_cofactor_gcd(f, g)

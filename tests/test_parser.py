@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_poly
 from qdeg.errors import (CompositionNotPolynomial, ExpressionSyntaxError,
@@ -131,3 +132,63 @@ def test_term_list_example():
         {"coeff": "-1", "exps": {"y": "2"}},
         {"coeff": "1", "exps": {"x": "1/2"}},
     ]
+
+
+# ---- differential: parse of sums of products against expanded terms ----
+
+_COEFFS = st.tuples(st.integers(0, 9), st.integers(1, 6))
+_EXPONENTS = st.tuples(st.integers(-3, 4), st.integers(1, 3))
+_FACTORS = st.lists(st.one_of(st.tuples(st.just("c"), _COEFFS),
+                              st.tuples(st.sampled_from([0, 1]), _EXPONENTS)),
+                    min_size=1, max_size=3)
+_TERMS = st.lists(st.tuples(st.booleans(), _FACTORS), min_size=1, max_size=6)
+
+
+def _factor_text(factor):
+    kind, (a, b) = factor
+    if kind == "c":
+        return "%d/%d" % (a, b) if b != 1 else str(a)
+    e = Fraction(a, b)
+    return "%s^(%s)" % (XY[kind], e) if e < 0 else "%s^%s" % (XY[kind], e)
+
+
+def _expanded_term(field, negative, factors):
+    """(monomial, coefficient) of one product, multiplied out by hand."""
+    coeff, exps = field.one, {}
+    for kind, (a, b) in factors:
+        if kind == "c":
+            coeff = field.mul(coeff, field.div(field.coerce(a), field.coerce(b)))
+        else:
+            exps[kind] = exps.get(kind, 0) + Fraction(a, b)
+    return Monomial.make(exps.items()), field.neg(coeff) if negative else coeff
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from([QQ, PrimeField(7)]), terms=_TERMS,
+       echo=st.lists(st.integers(0, 5), max_size=3))
+def test_parse_matches_expanded_terms(field, terms, echo):
+    # every echoed term is subtracted (it cancels) and added back (reappears)
+    for k in echo:
+        negative, factors = terms[k % len(terms)]
+        terms = terms + [(not negative, factors), (negative, factors)]
+    text = ""
+    for idx, (negative, factors) in enumerate(terms):
+        sign = "-" if negative else ("+" if idx else "")
+        text += " %s %s" % (sign, "*".join(map(_factor_text, factors)))
+    want = QPolynomial.from_terms(
+        field, 2, [_expanded_term(field, neg, fs) for neg, fs in terms])
+    assert parse(text, field, XY) == want
+
+
+def test_parse_builds_the_sum_without_polynomial_additions(monkeypatch):
+    terms = ["%d*x^(%d/7)*y" % (k + 1, k) for k in range(2000)]
+    text = " + ".join(terms[:1000]) + " - " + " - ".join(terms[1000:])
+
+    def refuse(self, other):
+        raise AssertionError("parse added polynomials term by term")
+
+    monkeypatch.setattr(QPolynomial, "__add__", refuse)
+    monkeypatch.setattr(QPolynomial, "__sub__", refuse)
+    f = parse(text, QQ, XY)
+    assert len(f.terms) == 2000
+    assert f.terms[Monomial.make([(0, Fraction(1999, 7)), (1, 1)])] == -2000
