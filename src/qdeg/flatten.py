@@ -12,15 +12,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ConstantInput, EmptyInput, LaurentNotFlattenable
+from .errors import (ConstantInput, DegreeLevelMismatch, EmptyInput,
+                     FieldMismatch, LaurentNotFlattenable)
 from .poly import Monomial, QPolynomial
 
 
 @dataclass(frozen=True)
 class FlattenMap:
-    """Per-variable root orders L_i."""
+    """Per-variable root orders L_i, each a positive int."""
 
     orders: tuple
+
+    def __post_init__(self):
+        for L in self.orders:
+            if type(L) is not int or L < 1:
+                raise DegreeLevelMismatch(
+                    "root order %r is not a positive integer" % (L,))
 
     @property
     def nvars(self):
@@ -46,6 +53,9 @@ def exponent_lcm(fs):
 
 def flatten_one(f, fmap):
     """Apply T_i^(1/L_i) -> Y_i to a single polynomial at a given level."""
+    if fmap.nvars != f.nvars:
+        raise FieldMismatch("level has %d root orders for %d variables"
+                            % (fmap.nvars, f.nvars))
     out = {}
     for mono, coeff in f.terms.items():
         pairs = []

@@ -165,8 +165,6 @@ def variety_bruteforce(gens, order):
     if p is None or p == 0:
         raise RootOrderMismatch("brute force enumeration needs a finite field")
     _check_order(order)
-    for g in generators[1:]:
-        g._check_compatible(generators[0])
     n = generators[0].nvars
     gen_terms = [_root_powers(g, order) for g in generators]
     points = []

@@ -6,9 +6,19 @@ ring.  The engine is Buchberger's algorithm under degrevlex: S-pairs wait in
 a heap and come out smallest lcm first (normal strategy), the Gebauer-Moeller
 update prunes them as each new element comes in, normal forms reduce in place
 in descending grevlex order, and a nonzero constant ends the run at once.
-Full inter-reduction follows.  Univariate Bezout GCDs come from the extended
-Euclidean algorithm on the flattened pair, run on monic remainders: only the
-f-cofactor u is carried, and v = (d - u*f)/g is one exact division at the end.
+Full inter-reduction follows.
+
+The engine computes on plain ints over both fields.  Over Q it is
+fraction-free: each input becomes its primitive integer multiple, a
+reduction step scales the work polynomial by glc/gcd(glc, c) instead of
+dividing, and content leaves once per normal form (Geddes, Czapor &
+Labahn, Algorithms for Computer Algebra, 2.6).  Over F_p the same loop runs
+on residues with monic divisors.  Fractions appear only where a polynomial
+enters and where the monic reduced basis leaves.
+
+Univariate Bezout GCDs come from the extended Euclidean algorithm on the
+flattened pair, run on monic remainders: only the f-cofactor u is carried,
+and v = (d - u*f)/g is one exact division at the end.
 """
 
 from dataclasses import dataclass
@@ -18,18 +28,22 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import NotUnivariate
-from .flatten import FlattenMap, exponent_lcm, flatten, flatten_one, unflatten
+from .flatten import FlattenMap, flatten, unflatten
 from .poly import Monomial, QPolynomial
 
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Generators of a finitely generated ideal (zero generators dropped)."""
+    """Generators of a finitely generated ideal (zero generators dropped);
+    all share one field and one variable count, or FieldMismatch."""
 
     generators: tuple
 
     def __init__(self, generators):
-        gens = tuple(g for g in generators if not g.is_zero())
+        gens = tuple(generators)
+        for g in gens[1:]:
+            gens[0]._check_compatible(g)
+        gens = tuple(g for g in gens if not g.is_zero())
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -48,7 +62,8 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# flat representation: dict[exponent tuple] -> coefficient
+# flat representation: dict[exponent tuple] -> coefficient.  Inside the
+# engine coefficients are ints; p is the characteristic, 0 for Q.
 
 def _to_flat(g):
     out = {}
@@ -84,19 +99,33 @@ def _coprime(a, b):
     return not any(map(min, a, b))
 
 
-def _make_primitive(fd, lead, field):
-    """Over Q: clear denominators, divide by content, positive leading
-    coefficient.  Over F_p: make monic.  Controls coefficient growth between
-    reductions."""
-    if field.characteristic == 0:
+def _make_primitive(fd, lead, p):
+    """Over Q: divide an int dict by its content, leading coefficient
+    positive.  Over F_p: make it monic on least residues."""
+    if p:
+        inv = pow(fd[lead], -1, p)
+        return {m: c * inv % p for m, c in fd.items()}
+    content = gcd(*fd.values())
+    if fd[lead] < 0:
+        content = -content
+    return {m: c // content for m, c in fd.items()}
+
+
+def _integral(fd, p):
+    """The engine's form of a nonzero flat dict with field coefficients:
+    over Q its primitive integer multiple, over F_p its monic multiple."""
+    if not p:
         den = lcm(*(c.denominator for c in fd.values()))
-        num = gcd(*(abs(c.numerator) for c in fd.values()))
-        scale = Fraction(den, num)
-        if fd[lead] < 0:
-            scale = -scale
-        return {m: c * scale for m, c in fd.items()}
-    inv = field.inv(fd[lead])
-    return {m: field.mul(c, inv) for m, c in fd.items()}
+        fd = {m: c.numerator * (den // c.denominator) for m, c in fd.items()}
+    return _make_primitive(fd, _lead(fd), p)
+
+
+def _engine_input(polys, level):
+    """Flatten the polynomials (all nonzero) at the given or their minimal
+    joint level; the level, p and the engine's int dicts."""
+    fmap, flats = flatten(polys, level=level)
+    p = polys[0].field.characteristic
+    return fmap, p, [_integral(_to_flat(g), p) for g in flats]
 
 
 def _divisor(lead, fd):
@@ -105,8 +134,17 @@ def _divisor(lead, fd):
     return lead, fd[lead], [(m, c) for m, c in fd.items() if m != lead]
 
 
-def _normal_form(fd, divisors, field):
-    """Full reduction of every term of fd modulo the divisors.
+def _normal_form(fd, divisors, p):
+    """Full reduction of every term of the int dict fd modulo the divisors:
+    (s, r) with s*fd - r in the ideal of the divisors, s > 0 and no term of
+    r divisible by a leading monomial.
+
+    Over Q the divisors are primitive with positive leading coefficients.
+    To cancel c*m by a divisor with leading coefficient glc, the work dict
+    and the remainder are scaled by glc/gcd(c, glc) (s collects these
+    factors) and (c/gcd)*X^shift*tail is subtracted.  Over F_p the divisors
+    are monic and s = 1; work values are reduced mod p when they come up,
+    so r holds least residues.
 
     Pending monomials sit in a min-heap keyed (-degree, reversed exponents),
     which pops them in descending grevlex order, so the remainder lists its
@@ -116,54 +154,72 @@ def _normal_form(fd, divisors, field):
     heap = [(-sum(m), m[::-1], m) for m in work]
     heapify(heap)
     remainder = {}
-    zero = field.zero
+    s = 1
     while heap:
         m = heappop(heap)[2]
         c = work.pop(m, None)
         if c is None:
             continue
+        if p:
+            c %= p
+            if not c:
+                continue
         for glm, glc, tail in divisors:
-            if _divides(glm, m):
-                factor = field.div(c, glc)
+            if all(map(le, glm, m)):  # glm divides m
+                if glc != 1:
+                    g = gcd(c, glc)
+                    c //= g
+                    scale = glc // g
+                    if scale != 1:
+                        s *= scale
+                        for k in work:
+                            work[k] *= scale
+                        for k in remainder:
+                            remainder[k] *= scale
                 shift = tuple(map(sub, m, glm))
                 for gm, gc in tail:
                     key = tuple(map(add, gm, shift))
                     old = work.get(key)
                     if old is None:
-                        work[key] = field.neg(field.mul(factor, gc))
+                        work[key] = -c * gc
                         heappush(heap, (-sum(key), key[::-1], key))
                         continue
-                    val = field.sub(old, field.mul(factor, gc))
-                    if val == zero:
-                        del work[key]
-                    else:
+                    val = old - c * gc
+                    if val:
                         work[key] = val
+                    else:
+                        del work[key]
                 break
         else:
             remainder[m] = c
-    return remainder
+    return s, remainder
 
 
-def _spoly(a, b, lcm_ab, field):
-    """lc(b) X^(lcm - lm(a)) a - lc(a) X^(lcm - lm(b)) b for two divisors;
-    the leading terms cancel and are left out."""
+def _spoly(a, b, lcm_ab):
+    """A multiple of lc(b) X^(lcm - lm(a)) a - lc(a) X^(lcm - lm(b)) b for
+    two divisors, cancelled with lc/gcd multipliers; the leading terms
+    cancel and are left out.  Over F_p the divisors are monic and the
+    values are left unreduced for the normal form."""
     (la, ca, ta), (lb, cb, tb) = a, b
+    g = gcd(ca, cb)
+    ma, mb = cb // g, ca // g
     shift = tuple(map(sub, lcm_ab, la))
-    out = {tuple(map(add, m, shift)): field.mul(cb, c) for m, c in ta}
+    out = {tuple(map(add, m, shift)): ma * c for m, c in ta}
     shift = tuple(map(sub, lcm_ab, lb))
     for m, c in tb:
         key = tuple(map(add, m, shift))
-        val = field.sub(out.get(key, field.zero), field.mul(ca, c))
-        if val == field.zero:
-            out.pop(key, None)
-        else:
+        val = out.get(key, 0) - mb * c
+        if val:
             out[key] = val
+        else:
+            out.pop(key, None)
     return out
 
 
-def _buchberger(flats, field):
-    """A minimal Groebner basis of the flats as a list of divisors, or just
-    the unit when a nonzero constant turns up.
+def _buchberger(flats, p):
+    """A minimal Groebner basis of nonzero int dicts as a list of divisors,
+    or just the unit when a nonzero constant turns up.  An input may be any
+    multiple of its element: it is reduced before it joins the basis.
 
     Pairs wait in a heap keyed by the grevlex key of their lcm (normal
     strategy); the Gebauer-Moeller update prunes them as each new element
@@ -173,11 +229,11 @@ def _buchberger(flats, field):
 
     def add_normal_form(f):
         """Append the normal form of f unless it is 0; True for a constant."""
-        h = _normal_form(f, [basis[k] for k in active], field)
+        _, h = _normal_form(f, [basis[k] for k in active], p)
         if not h:
             return False
         lh = next(iter(h))
-        h = _make_primitive(h, lh, field)
+        h = _make_primitive(h, lh, p)
         new = len(basis)
         basis.append(_divisor(lh, h))
         leads.append(lh)
@@ -192,10 +248,10 @@ def _buchberger(flats, field):
                 kept.append((l, k))
         # chain criterion on the old pairs: lh divides their lcm, which
         # differs from both lcms with the new element
-        pairs[:] = [p for p in pairs
-                    if not _divides(lh, p[3])
-                    or _mono_lcm(leads[p[1]], lh) == p[3]
-                    or _mono_lcm(leads[p[2]], lh) == p[3]]
+        pairs[:] = [q for q in pairs
+                    if not _divides(lh, q[3])
+                    or _mono_lcm(leads[q[1]], lh) == q[3]
+                    or _mono_lcm(leads[q[2]], lh) == q[3]]
         pairs.extend((_grevlex_key(l), new, k, l) for l, k in kept
                      if not _coprime(lh, leads[k]))
         heapify(pairs)
@@ -203,28 +259,35 @@ def _buchberger(flats, field):
         active.append(new)
         return not any(lh)
 
-    for f in sorted(filter(None, flats), key=lambda f: _grevlex_key(_lead(f))):
+    for f in sorted(flats, key=lambda f: _grevlex_key(_lead(f))):
         if add_normal_form(f):
             return [basis[-1]]
     while pairs:
         _, i, j, l = heappop(pairs)
-        if add_normal_form(_spoly(basis[i], basis[j], l, field)):
+        if add_normal_form(_spoly(basis[i], basis[j], l)):
             return [basis[-1]]
     return [basis[k] for k in active]
 
 
-def _reduce_basis(divisors, field):
-    """Inter-reduce a minimal basis and make it monic; over F_p the elements
-    are monic already and reduction keeps the leading terms."""
+def _has_unit(divisors):
+    return any(not any(lead) for lead, _, _ in divisors)
+
+
+def _reduce_basis(divisors, p):
+    """Inter-reduce a minimal basis on ints; the monic field basis as flat
+    dicts, each lead + r/(s*lc).  Reduction keeps the leading terms; over
+    F_p the divisors are monic and s = 1, so r is the tail already."""
     divisors = sorted(divisors, key=lambda d: _grevlex_key(d[0]))
     reduced = []
     for i, (lead, lc, tail) in enumerate(divisors):
         others = divisors[:i] + divisors[i + 1:]
-        r = _normal_form(dict(tail), others, field)
-        r = {lead: lc, **r}
-        if lc != field.one:
-            r = {m: field.div(c, lc) for m, c in r.items()}
-        reduced.append(r)
+        s, r = _normal_form(dict(tail), others, p)
+        if p:
+            reduced.append({lead: 1, **r})
+        else:
+            d = s * lc
+            reduced.append({lead: Fraction(1),
+                            **{m: Fraction(c, d) for m, c in r.items()}})
     return reduced
 
 
@@ -233,59 +296,53 @@ def groebner(gens, level=None):
     if gens.is_zero_ideal:
         fmap = level if level is not None else FlattenMap(())
         return GroebnerBasis(fmap, ())
-    fmap, flats = flatten(gens.generators, level=level)
+    fmap, p, flats = _engine_input(gens.generators, level)
     field = gens.generators[0].field
     nvars = gens.generators[0].nvars
-    basis = _buchberger([_to_flat(g) for g in flats], field)
-    basis = _reduce_basis(basis, field)
-    polys = tuple(_from_flat(field, nvars, g) for g in basis)
-    return GroebnerBasis(fmap, polys)
+    basis = _reduce_basis(_buchberger(flats, p), p)
+    return GroebnerBasis(fmap, tuple(_from_flat(field, nvars, g) for g in basis))
+
+
+def _check_against(f, gens):
+    if gens.generators:
+        f._check_compatible(gens.generators[0])
 
 
 def ideal_member(f, gens, level=None):
     """Is f in the ideal generated by gens inside k[T_1,...,T_n]_Q?"""
+    _check_against(f, gens)
     if f.is_zero():
         return True
     if gens.is_zero_ideal:
         return False
-    everything = list(gens.generators) + [f]
-    fmap = level if level is not None else exponent_lcm(everything)
-    gb = groebner(gens, level=fmap)
-    field = f.field
-    flat_f = _to_flat(flatten_one(f, fmap))
-    basis = [_to_flat(g) for g in gb.basis]
-    divisors = [_divisor(_lead(g), g) for g in basis]
-    return not _normal_form(flat_f, divisors, field)
+    _, p, flats = _engine_input([*gens.generators, f], level)
+    _, r = _normal_form(flats[-1], _buchberger(flats[:-1], p), p)
+    return not r
 
 
 def radical_member(f, gens, level=None):
     """Rabinowitsch: f is in the radical iff 1 lies in (gens, f*t - 1)."""
+    _check_against(f, gens)
     if f.is_zero():
         return True
     if gens.is_zero_ideal:
         return False
-    everything = list(gens.generators) + [f]
-    fmap = level if level is not None else exponent_lcm(everything)
-    field = f.field
-    n = f.nvars
-    _, flats = flatten(everything, level=fmap)
-    flat_gens, flat_f = flats[:-1], flats[-1]
-
-    def widen(g):
-        return QPolynomial(field, n + 1, dict(g.terms))
-
-    t = QPolynomial.variable(field, n + 1, n)
-    one = QPolynomial.constant(field, n + 1, 1)
-    trick = [widen(g) for g in flat_gens] + [widen(flat_f) * t - one]
-    basis = _buchberger([_to_flat(g) for g in trick], field)
-    return any(not any(lead) for lead, _, _ in basis)
+    _, p, flats = _engine_input([*gens.generators, f], level)
+    # t is a new last variable.  The engine's f is a multiple a*f, a != 0;
+    # t -> a*t maps (gens, f*t - 1) onto (gens, a*f*t - 1), so 1 lies in both
+    # or in neither.
+    trick = [{m + (0,): c for m, c in g.items()} for g in flats[:-1]]
+    ft = {m + (1,): c for m, c in flats[-1].items()}
+    ft[(0,) * (f.nvars + 1)] = -1
+    return _has_unit(_buchberger(trick + [ft], p))
 
 
 def is_proper(gens, level=None):
-    """True unless the ideal contains 1 (detected via the Groebner basis)."""
+    """True unless the ideal contains 1: Buchberger finds a constant lead."""
     if gens.is_zero_ideal:
         return True
-    return not groebner(gens, level=level).contains_one()
+    _, p, flats = _engine_input(gens.generators, level)
+    return not _has_unit(_buchberger(flats, p))
 
 
 # ---------------------------------------------------------------------------

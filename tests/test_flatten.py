@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import qq_poly, random_nonzero_poly, random_poly
-from qdeg.errors import ConstantInput, EmptyInput, LaurentNotFlattenable
+from qdeg.errors import (ConstantInput, DegreeLevelMismatch, EmptyInput,
+                         FieldMismatch, LaurentNotFlattenable)
 from qdeg.fields import QQ
 from qdeg.flatten import (FlattenMap, exponent_lcm, flatten, flatten_one,
                           noether_substitution, unflatten)
+from qdeg.ideals import IdealPresentation, groebner
 from qdeg.poly import Monomial, QPolynomial
 
 
@@ -42,6 +44,32 @@ def test_flatten_rejects_laurent():
     laurent = QPolynomial.variable(QQ, 1, 0, Fraction(-1, 2))
     with pytest.raises(LaurentNotFlattenable):
         flatten([laurent])
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (-2, 1), (1, Fraction(1)),
+                                    (2.0, 1), ("2", 1), (None,)])
+def test_flatten_map_rejects_orders_that_are_not_positive_ints(orders):
+    with pytest.raises(DegreeLevelMismatch):
+        FlattenMap(orders)
+
+
+def test_flatten_map_of_no_variables_is_valid():
+    assert FlattenMap(()).nvars == 0
+
+
+@pytest.mark.parametrize("orders", [(2,), (2, 1, 1)])
+def test_flatten_rejects_a_level_of_another_variable_count(orders):
+    g = qq_poly("x^(1/2) - y", ["x", "y"])
+    with pytest.raises(FieldMismatch):
+        flatten_one(g, FlattenMap(orders))
+    with pytest.raises(FieldMismatch):
+        groebner(IdealPresentation((g,)), level=FlattenMap(orders))
+
+
+def test_groebner_at_a_valid_level():
+    g = qq_poly("x^(1/2) - y", ["x", "y"])
+    gb = groebner(IdealPresentation((g,)), level=FlattenMap((4, 2)))
+    assert gb.basis == (qq_poly("x^2 - y^2", ["x", "y"]),)
 
 
 def test_unflatten_examples():

@@ -6,12 +6,16 @@ reproduces them exactly."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdeg.fields import QQ, PrimeField
+from qdeg.fields import QQ, PrimeField, RationalField
 from qdeg.flatten import FlattenMap, flatten_one
-from qdeg.ideals import IdealPresentation, groebner
+from qdeg.ideals import (IdealPresentation, _divisor, _integral, _lead as
+                         _engine_lead, _normal_form, groebner, ideal_member,
+                         is_proper, radical_member)
 from qdeg.parser import parse
 from qdeg.poly import Monomial, QPolynomial
 
@@ -238,3 +242,100 @@ def test_pinned_bases_over_q_and_f32003():
             square = FlattenMap((2,) * len(names))
             assert groebner(ideal, level=square).basis == \
                 tuple(flatten_one(g, square) for g in want)
+
+
+# ---- the integer core ----
+
+KATSURA3_MEMBERS = {
+    # f: (in the ideal, in its radical)
+    "x1*x0^2 + 2*x1^3 + 2*x1*x2^2 + 2*x1*x3^2 - x1*x0"
+    " - x3*(x1^2 + 2*x0*x2 + 2*x1*x3 - x2)": (True, True),
+    "x3^2*(x1^2 + 2*x0*x2 + 2*x1*x3 - x2)^2": (True, True),
+    "x3": (False, False),
+    "1": (False, False),
+}
+
+
+def test_engine_over_q_makes_no_field_calls(monkeypatch):
+    """Over Q the engine computes on ints: with the rational field's
+    arithmetic switched off, the answers are the pinned ones."""
+    names, texts = KATSURA3
+    ideal = IdealPresentation(tuple(parse(t, QQ, names) for t in texts))
+    want = tuple(parse(t, QQ, names) for t in PINNED[("katsura3", "q")])
+    members = {parse(t, QQ, names): answers
+               for t, answers in KATSURA3_MEMBERS.items()}
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic in the Groebner core")
+
+    for name in ("add", "sub", "mul", "div", "neg", "inv"):
+        monkeypatch.setattr(RationalField, name, refuse)
+    with pytest.raises(AssertionError):
+        QQ.mul(QQ.one, QQ.one)
+    assert groebner(ideal).basis == want
+    assert is_proper(ideal)
+    for f, (member, radical) in members.items():
+        assert ideal_member(f, ideal) == member
+        assert radical_member(f, ideal) == radical
+
+
+def _flat_systems(p):
+    """(f, divisors) as flat dicts of field coefficients in 1-3 variables."""
+    if p:
+        coeffs = st.integers(1, p - 1)
+    else:
+        small = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+        big = st.builds(Fraction, st.integers(1, 10 ** 30), st.integers(1, 10 ** 20))
+        coeffs = st.builds(lambda sign, c: sign * c, st.sampled_from((1, -1)),
+                           st.one_of(small, big))
+
+    @st.composite
+    def build(draw):
+        nvars = draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 3)] * nvars)
+        poly = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
+        return draw(poly), draw(st.lists(poly, min_size=1, max_size=3))
+    return build()
+
+
+def _engine_divisors(divisors, p):
+    out = []
+    for g in divisors:
+        g = _integral(g, p)
+        lead = _engine_lead(g)
+        if p:
+            assert g[lead] == 1
+        else:
+            assert g[lead] > 0 and gcd(*g.values()) == 1
+        out.append(_divisor(lead, g))
+    return out
+
+
+_BIG = Fraction(10 ** 40, 7)
+_MERSENNE = Fraction(1, 2 ** 61 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flat_systems(0))
+@example(({(2, 0): _BIG, (1, 1): _MERSENNE, (0, 0): Fraction(3)},
+          [{(1, 0): _BIG, (0, 1): 3 * _BIG},
+           {(0, 1): _MERSENNE, (0, 0): -_BIG}]))
+@example(({(3,): _MERSENNE, (1,): _BIG},
+          [{(1,): 2 * _BIG, (0,): -4 * _BIG}]))
+def test_normal_form_over_q_matches_the_oracle(system):
+    f, divisors = system
+    f = _integral(f, 0)
+    assert gcd(*f.values()) == 1
+    s, r = _normal_form(f, _engine_divisors(divisors, 0), 0)
+    assert s > 0
+    assert {m: Fraction(c, s) for m, c in r.items()} == \
+        _remainder({m: Fraction(c) for m, c in f.items()}, divisors, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flat_systems(7))
+def test_normal_form_over_f7_matches_the_oracle(system):
+    f, divisors = system
+    s, r = _normal_form(f, _engine_divisors(divisors, 7), 7)
+    assert s == 1
+    assert r == _remainder(f, divisors, 7)

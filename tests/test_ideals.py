@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import qq_poly, random_poly, univariate
-from qdeg.errors import NotUnivariate
+from qdeg.errors import FieldMismatch, NotUnivariate
 from qdeg.fields import QQ, PrimeField
 from qdeg.flatten import exponent_lcm, flatten, unflatten
 from qdeg.ideals import (IdealPresentation, gcd_univariate, groebner,
                          ideal_member, is_proper, radical_member)
+from qdeg.parser import parse
 from qdeg.poly import Monomial, QPolynomial
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def ideal(*texts, varnames=("x",)):
@@ -183,6 +185,54 @@ def test_proper_implies_common_zero_over_f5():
         gens = IdealPresentation(tuple(parse(t, F5, varnames) for t in texts))
         assert is_proper(gens)
         assert variety_bruteforce(gens, level)
+
+
+# ---- mixed fields and variable counts are refused ----
+
+XY = ["x", "y"]
+
+
+def test_generators_of_mixed_fields_are_refused():
+    with pytest.raises(FieldMismatch):
+        IdealPresentation((parse("x", QQ, XY), parse("x", F7, XY)))
+
+
+def test_generators_of_mixed_variable_counts_are_refused():
+    with pytest.raises(FieldMismatch):
+        IdealPresentation((parse("x", QQ, XY), parse("x + 1", F7, ["x"])))
+    with pytest.raises(FieldMismatch):
+        IdealPresentation((parse("x", QQ, XY), parse("x + 1", QQ, ["x"])))
+
+
+def test_zero_generator_of_another_field_is_refused():
+    with pytest.raises(FieldMismatch):
+        IdealPresentation((parse("x", QQ, XY), QPolynomial.zero(F7, 2)))
+
+
+def test_member_of_another_field_is_refused():
+    gens = IdealPresentation((parse("x^2 - 2", F7, XY),))
+    with pytest.raises(FieldMismatch):
+        ideal_member(parse("x^2 - 2", QQ, XY), gens)
+    with pytest.raises(FieldMismatch):
+        ideal_member(QPolynomial.zero(QQ, 2), gens)
+
+
+def test_member_with_another_variable_count_is_refused():
+    gens = IdealPresentation((parse("x", QQ, XY),))
+    with pytest.raises(FieldMismatch):
+        ideal_member(parse("x", QQ, ["x"]), gens)
+
+
+def test_radical_member_of_another_field_is_refused():
+    gens = IdealPresentation((parse("x^2", F7, XY),))
+    with pytest.raises(FieldMismatch):
+        radical_member(parse("x", QQ, XY), gens)
+
+
+def test_radical_member_with_another_variable_count_is_refused():
+    gens = IdealPresentation((parse("x^2", QQ, XY),))
+    with pytest.raises(FieldMismatch):
+        radical_member(parse("x", QQ, ["x"]), gens)
 
 
 # ---- differential: gcd_univariate against the textbook extended Euclid ----
