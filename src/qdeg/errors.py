@@ -65,6 +65,10 @@ class PointNotOnVariety(QdegError):
     pass
 
 
+class ScanTooLarge(QdegError):
+    """A variety scan over more root prefixes than the fixed limit."""
+
+
 class DegreeTooSmall(QdegError):
     pass
 

@@ -51,11 +51,15 @@ def exponent_lcm(fs):
     return FlattenMap(tuple(orders))
 
 
+def _check_level(fmap, poly):
+    if fmap.nvars != poly.nvars:
+        raise FieldMismatch("level has %d root orders for %d variables"
+                            % (fmap.nvars, poly.nvars))
+
+
 def flatten_one(f, fmap):
     """Apply T_i^(1/L_i) -> Y_i to a single polynomial at a given level."""
-    if fmap.nvars != f.nvars:
-        raise FieldMismatch("level has %d root orders for %d variables"
-                            % (fmap.nvars, f.nvars))
+    _check_level(fmap, f)
     out = {}
     for mono, coeff in f.terms.items():
         pairs = []
@@ -80,6 +84,7 @@ def flatten(fs, level=None):
 
 def unflatten(fmap, g):
     """Inverse substitution Y_i -> T_i^(1/L_i); round-trips with flatten."""
+    _check_level(fmap, g)
     out = {}
     for mono, coeff in g.terms.items():
         pairs = [(i, e / fmap.orders[i]) for i, e in mono.exps]

@@ -6,17 +6,41 @@ X_i^(a/b) with b | L evaluates exactly as u_i^(aL/b).  No root extraction
 ever happens.  The integer powers aL/b are worked out once per polynomial
 and order, so a variety scan converts each generator once, not once per
 point.
+
+Zeros come from one root finder over F_p (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14): x^p mod f by square-and-multiply gives
+gcd(f, x^p - x), the product of the distinct linear factors of f, and
+equal-degree splitting by gcd(g, (x + a)^((p-1)/2) - 1), with a drawn from
+a fixed-seed generator, separates them.  Over Q the rational zeros of the
+square-free part h come from its zeros modulo a prime that divides neither
+the leading coefficient nor the discriminant: each is Hensel-lifted past
+2|a_0||a_n|, rationally reconstructed and checked exactly (ch. 15 and
+5.10).  A variety over F_p is scanned on the first n - 1 roots only: every
+generator specialises to a univariate in the last root, and the root finder
+solves the gcd of the specialisations.  A scan over more than
+MAX_SCAN_PREFIXES root prefixes raises ScanTooLarge instead of running.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from math import gcd, lcm
+from random import Random
 
 from .errors import (FieldMismatch, NotUnivariate, PoleAtPoint,
-                     PointNotOnVariety, RootOrderMismatch, ZeroPolynomial)
+                     PointNotOnVariety, RootOrderMismatch, ScanTooLarge,
+                     ZeroPolynomial)
+from .fields import QQ, is_prime
 from .flatten import flatten
+from .ideals import _poly_divmod, _trim as _trim_field
 from .linalg import matrix_rank
 from .poly import Monomial, QPolynomial
+
+# The most root prefixes p^(n-1) a variety scan visits.  At the limit, two
+# small generators in x, y over F_19997 take about 0.3 s, and x^2 - y^2,
+# whose every prefix splits a quadratic, about 5 s (Python 3.11, one core of
+# a shared 2-core VM).
+MAX_SCAN_PREFIXES = 20_000
 
 
 def _check_order(order):
@@ -87,30 +111,169 @@ def evaluate(f, point):
     return _evaluate_powers(f.field, _root_powers(f, point.order), point.roots)
 
 
-def _integer_root_candidates(coeffs):
-    """Rational-root candidates p/q for an integer univariate polynomial."""
-    low = next(c for c in coeffs if c != 0)
-    high = coeffs[-1]
+# ---------------------------------------------------------------------------
+# dense univariates over F_p: lists of ints, constant term first, no
+# trailing zeros once trimmed
 
-    def divisors(n):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
 
-    for p in divisors(low):
-        for q in divisors(high):
-            yield Fraction(p, q)
-            yield Fraction(-p, q)
+
+def _monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _reduce(a, m, p):
+    """The remainder of a by the monic m.  The division runs in place:
+    afterwards a[deg m:] holds the quotient."""
+    dm = len(m) - 1
+    for top in range(len(a) - 1, dm - 1, -1):
+        c = a[top] = a[top] % p
+        if c:
+            base = top - dm
+            for i in range(dm):
+                a[base + i] -= c * m[i]
+    return _trim([c % p for c in a[:dm]])
+
+
+def _powmod(a, e, m, p):
+    """(x + a)^e modulo the monic m, by square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * len(result) - 1)
+        for i, x in enumerate(result):
+            for j, y in enumerate(result, i):
+                square[j] += x * y
+        result = _reduce(square, m, p)
+        if bit == "1":
+            result = _reduce([a * c + d for c, d in
+                              zip(result + [0], [0] + result)], m, p)
+    return result
+
+
+def _gcd(a, b, p):
+    """Monic gcd of two polynomials over F_p; [] when both are zero."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        if len(b) == 1:
+            return [1]
+        b = _monic(b, p)
+        a, b = b, _reduce(a, b, p)
+    return _monic(a, p) if a else a
+
+
+def _fold(e, p):
+    """An exponent in [0, p) with u^e = u^fold(e, p) for every u in F_p."""
+    return e if e < p else (e - 1) % (p - 1) + 1
+
+
+def _fp_roots(f, p, rng):
+    """The distinct zeros in F_p, ascending, of the polynomial with int
+    coefficients f (constant term first); all of F_p when f is zero mod p.
+    The splitting draws from rng; the zeros do not depend on it."""
+    f = _trim([c % p for c in f])
+    if not f:
+        return list(range(p))
+    roots = []
+    if not f[0]:
+        roots.append(0)
+        f = f[next(i for i, c in enumerate(f) if c):]
+    f = _monic(f, p)
+    if len(f) > 2:
+        xp = _powmod(0, p, f, p) + [0, 0]
+        xp[1] -= 1
+        f = _gcd(f, xp, p)
+    _split(f, p, rng, roots)
+    return sorted(roots)
+
+
+def _split(g, p, rng, roots):
+    """Append the zeros of g, a monic product of distinct linear factors
+    with g(0) != 0, by equal-degree splitting.  Over F_2 such a g has degree
+    at most 1, so p is odd whenever a split is needed."""
+    if len(g) == 2:
+        roots.append(-g[0] % p)
+    if len(g) <= 2:
+        return
+    while True:
+        w = _powmod(rng.randrange(p), (p - 1) // 2, g, p)
+        w[0] -= 1
+        d = _gcd(g, w, p)
+        if 1 < len(d) < len(g):
+            break
+    rest = list(g)
+    _reduce(rest, d, p)
+    _split(d, p, rng, roots)
+    _split(rest[len(d) - 1:], p, rng, roots)
+
+
+# ---------------------------------------------------------------------------
+# rational zeros by lifting zeros modulo a prime
+
+def _value(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _squarefree_part(f):
+    """Primitive integer form of f / gcd(f, f') for an integer f."""
+    a = [Fraction(c) for c in f]
+    b = _trim_field([Fraction(i * c) for i, c in enumerate(f)][1:], QQ)
+    while b:
+        a, b = b, _poly_divmod(a, b, QQ)[1]
+    q = _poly_divmod([Fraction(c) for c in f], a, QQ)[0]
+    den = lcm(*(c.denominator for c in q))
+    ints = [int(c * den) for c in q]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _reconstruct(r, m, num_bound):
+    """The fraction a/b = r mod m at the first remainder a with
+    |a| <= num_bound of Euclid on (m, r).  When some a/b = r mod m has
+    |a| <= num_bound and 0 < b <= D with m > 2*num_bound*D, this is it."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def _rational_roots(f):
+    """The distinct rational zeros of the nonzero integer polynomial f
+    (constant term first)."""
+    roots = set()
+    if not f[0]:
+        roots.add(Fraction(0))
+        f = f[next(i for i, c in enumerate(f) if c):]
+    if len(f) == 1:
+        return roots
+    h = _squarefree_part(f)
+    dh = [i * c for i, c in enumerate(h)][1:]
+    # p keeps the degree of h and leaves it square-free
+    p = next(q for q in count(101, 2)
+             if is_prime(q) and h[-1] % q and len(_gcd(h, dh, q)) == 1)
+    # a zero a/b has a | a_0 and b | a_n
+    bound = 2 * abs(h[0]) * abs(h[-1])
+    for r in _fp_roots(h, p, Random(0)):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value(h, r) * pow(_value(dh, r), -1, m)) % m
+        cand = _reconstruct(r, m, abs(h[0]))
+        if _value(h, cand) == 0:
+            roots.add(cand)
+    return roots
 
 
 def roots_univariate(f):
-    """All rational (over Q) or all (over F_p) zeros of a one-variable f.
+    """All rational (over Q) or all (over F_p) zeros of a one-variable f,
+    ascending and distinct.
 
     The polynomial is flattened to integer degrees first; a zero a of the
     flattened polynomial reports the zero a^L of f.
@@ -119,64 +282,97 @@ def roots_univariate(f):
         raise NotUnivariate("roots_univariate needs one variable")
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a zero")
-    field = f.field
     fmap, (g,) = flatten([f])
     L = fmap.orders[0]
-    deg = int(g.total_degree())
-    dense = [field.zero] * (deg + 1)
-    for mono, coeff in g.terms.items():
-        dense[int(mono.exponent(0))] = coeff
-
-    found = set()
-    if field.characteristic == 0:
-        from math import lcm
-        den = lcm(*(c.denominator for c in dense if c != 0))
-        ints = [int(c * den) for c in dense]
-        if ints[0] == 0:
-            found.add(Fraction(0))
-            while ints and ints[0] == 0:
-                ints.pop(0)
-        seen = set()
-        for cand in _integer_root_candidates(ints):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                found.add(cand)
-        return sorted(r ** L for r in found)
-    p = field.characteristic
-    for a in range(p):
-        if sum(field.mul(c, pow(a, i, p)) for i, c in enumerate(dense)) % p == 0:
-            found.add(pow(a, L, p))
-    return sorted(found)
+    exps = [(int(mono.exponent(0)), c) for mono, c in g.terms.items()]
+    p = f.field.characteristic
+    if p:
+        dense = [0] * min(max(e for e, _ in exps) + 1, p)
+        for e, c in exps:
+            dense[_fold(e, p)] += c
+        return sorted({pow(a, L, p) for a in _fp_roots(dense, p, Random(0))})
+    dense = [0] * (max(e for e, _ in exps) + 1)
+    den = lcm(*(c.denominator for _, c in exps))
+    for e, c in exps:
+        dense[e] = int(c * den)
+    return sorted({r ** L for r in _rational_roots(dense)})
 
 
 def variety_bruteforce(gens, order):
-    """All common zeros over F_p, scanned on the root grid at level L.
+    """All common zeros over F_p on the root grid at level L.
 
-    Points whose roots induce the same coordinates x_i = u_i^L are
-    deduplicated (the first root vector in scan order is kept).
+    Root vectors are visited in lexicographic order, one prefix u_1..u_{n-1}
+    at a time: each generator, times the power of u_n that clears its
+    negative exponents, specialises to a univariate in u_n, the gcd of the
+    specialisations is taken in order until it is constant, and its zeros
+    complete the prefix; a prefix at which every generator vanishes
+    identically takes all of F_p.  More than MAX_SCAN_PREFIXES prefixes
+    raise ScanTooLarge.  Points
+    whose roots induce the same coordinates x_i = u_i^L are deduplicated
+    (the first root vector is kept).  PoleAtPoint is raised exactly when
+    evaluating the generators in order, stopping at the first nonzero
+    value, meets a negative power of a zero root at some root vector.
     """
     generators = gens.generators
     if not generators:
         raise ZeroPolynomial("need at least one generator")
     field = generators[0].field
     p = field.characteristic
-    if p is None or p == 0:
-        raise RootOrderMismatch("brute force enumeration needs a finite field")
+    if not p:
+        raise RootOrderMismatch("a variety scan needs a finite field")
     _check_order(order)
     n = generators[0].nvars
     gen_terms = [_root_powers(g, order) for g in generators]
+    if n == 0:
+        return []  # the generators are nonzero constants
+    if p ** (n - 1) > MAX_SCAN_PREFIXES:
+        raise ScanTooLarge("a scan over %d^%d root prefixes exceeds %d"
+                           % (p, n - 1, MAX_SCAN_PREFIXES))
+    last = n - 1
+    specs = []
+    for terms in gen_terms:
+        low = min([0] + [pw for _, powers in terms
+                         for i, pw in powers if i == last])
+        split = [(coeff, tuple((i, pw) for i, pw in powers if i != last),
+                  _fold(sum(pw for i, pw in powers if i == last) - low, p))
+                 for coeff, powers in terms]
+        poles = {i for _, powers in terms for i, pw in powers
+                 if pw < 0 and i != last}
+        specs.append((split, tuple(poles), low < 0,
+                      max(e for _, _, e in split) + 1))
+
     points = []
     seen = set()
-    for roots in product(range(p), repeat=n):
-        if all(_evaluate_powers(field, terms, roots) == field.zero
-               for terms in gen_terms):
-            point = PointWithRoots(field, order, roots)
-            coords = point.coordinates()
+    rng = Random(0)
+    for prefix in product(range(p), repeat=last):
+        common = None  # gcd so far; None while every specialisation is zero
+        for split, poles, pole_at_zero, size in specs:
+            if poles and any(not prefix[i] for i in poles):
+                # a pole at every root vector over this prefix
+                if common is None or _fp_roots(common, p, rng):
+                    raise PoleAtPoint("negative power of a zero coordinate")
+                common = [1]
+                break
+            if pole_at_zero and (common is None or not common[0]):
+                raise PoleAtPoint("negative power of zero coordinate %d"
+                                  % last)
+            h = [0] * size
+            for coeff, powers, e in split:
+                for i, pw in powers:
+                    coeff *= pow(prefix[i], pw, p)
+                h[e] += coeff
+            h = _trim([c % p for c in h])
+            if h:
+                common = _monic(h, p) if common is None else _gcd(common, h, p)
+                if len(common) == 1:
+                    break
+        for u in (range(p) if common is None
+                  else _fp_roots(common, p, rng)):
+            roots = prefix + (u,)
+            coords = tuple(pow(x, order, p) for x in roots)
             if coords not in seen:
                 seen.add(coords)
-                points.append(point)
+                points.append(PointWithRoots(field, order, roots))
     return points
 
 

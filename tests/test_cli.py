@@ -99,13 +99,18 @@ def _fraction_text(num_range, den_range):
     return st.one_of(st.integers(*num_range).map(str), exact, _GARBAGE)
 
 
-def _assert_clean_exit(argv):
+def _assert_clean_exit(argv, empty_ok=False):
+    """Exit 0, 1 or 2 without a traceback, printing only on success; with
+    empty_ok a success may print nothing (no roots or no points as text)."""
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    if empty_ok:
+        assert code == 0 or out.getvalue() == ""
+    else:
+        assert (code == 0) == (out.getvalue() != "")
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,7 +187,41 @@ def test_variety_fuzz_exit_codes(field, names, gens, level, json_flag):
             "--point-level=" + level]
     for g in gens:
         argv += ["--ideal", g]
-    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+    _assert_clean_exit(argv + (["--json"] if json_flag else []),
+                       empty_ok=not json_flag)
+
+
+_LARGE_FIELDS = st.sampled_from(["fp:1000000007", "fp:2147483647"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=_LARGE_FIELDS, names=_VARS, gens=st.lists(_EXPRS, max_size=3),
+       json_flag=st.booleans())
+def test_variety_large_field_fuzz_exit_codes(field, names, gens, json_flag):
+    # one variable scans one prefix; two or more exceed MAX_SCAN_PREFIXES
+    argv = ["variety", "--field", field, "--vars", names]
+    for g in gens:
+        argv += ["--ideal", g]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []),
+                       empty_ok=not json_flag)
+
+
+_BIG = st.integers(10 ** 29, 10 ** 30 - 1).map(str)
+_ROOTS_EXPRS = st.one_of(
+    _EXPRS,
+    st.builds("{} - {}".format, st.sampled_from(["x", "x^(1/2)", "x^2", "x^3"]),
+              _BIG),
+    st.builds("{}*x^(1/2) - {}".format, _BIG, _BIG),
+    st.builds("(x - {})*(x + {})".format, _BIG, _BIG))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.one_of(_FIELDS, _LARGE_FIELDS), names=_VARS,
+       expr=_ROOTS_EXPRS, json_flag=st.booleans())
+def test_roots_fuzz_exit_codes(field, names, expr, json_flag):
+    argv = ["roots", "--field", field, "--vars", names, "--", expr]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []),
+                       empty_ok=not json_flag)
 
 
 @settings(max_examples=80, deadline=None)
@@ -250,6 +289,34 @@ def test_negative_fraction_as_separate_argument(cli):
 def test_roots_command(cli):
     code, out, _ = cli("roots", "--vars", "x", "x^(1/2) - 2")
     assert (code, out.strip()) == (0, "4")
+    # the zeros 2 and -2 of y^3 - y^2 - 4y + 4, y = x^(1/2), are one x = 4
+    for field in ("q", "fp:7"):
+        code, out, _ = cli("roots", "--field", field, "--vars", "x",
+                           "x^(3/2) - x - 4*x^(1/2) + 4")
+        assert (code, out) == (0, "1\n4\n")
+    code, out, _ = cli("roots", "--json", "--vars", "x",
+                       "x^(3/2) - x - 4*x^(1/2) + 4")
+    assert json.loads(out) == {"roots": ["1", "4"]}
+
+
+def test_roots_and_variety_answer_at_once(cli):
+    big = "1000000000000000000000000000001"
+    for argv, want in (
+            (("roots", "--field", "fp:1000000007", "--vars", "x", "x - 3"),
+             "3\n"),
+            (("roots", "--vars", "x", "x - " + big), big + "\n"),
+            (("variety", "--field", "fp:1000000007", "--vars", "x",
+              "--ideal", "x - 3"), "1:3|x=3\n")):
+        start = perf_counter()
+        code, out, err = cli(*argv)
+        assert perf_counter() - start < 1.0
+        assert (code, out, err) == (0, want, "")
+
+
+def test_variety_scan_limit(cli):
+    code, out, err = cli("variety", "--field", "fp:1000000007", "--vars",
+                         "x,y", "--ideal", "x - y")
+    assert (code, out) == (1, "") and err.startswith("ScanTooLarge:")
 
 
 def test_eval_command(cli):

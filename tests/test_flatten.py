@@ -64,6 +64,8 @@ def test_flatten_rejects_a_level_of_another_variable_count(orders):
         flatten_one(g, FlattenMap(orders))
     with pytest.raises(FieldMismatch):
         groebner(IdealPresentation((g,)), level=FlattenMap(orders))
+    with pytest.raises(FieldMismatch):
+        unflatten(FlattenMap(orders), qq_poly("x - y", ["x", "y"]))
 
 
 def test_groebner_at_a_valid_level():

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import qq_poly, random_poly
 from qdeg.errors import (NotUnivariate, PoleAtPoint, PointNotOnVariety,
                          RootOrderMismatch, ZeroPolynomial)
 from qdeg.fields import QQ, PrimeField
 from qdeg.flatten import flatten
-from qdeg.geometry import (PointWithRoots, evaluate, jacobian,
+from qdeg.geometry import (PointWithRoots, _fp_roots, evaluate, jacobian,
                            partial_derivative, roots_univariate,
                            tangent_space, variety_bruteforce)
 from qdeg.ideals import IdealPresentation
@@ -58,6 +59,10 @@ def test_roots_examples():
     assert roots_univariate(qq_poly("x", ["x"])) == [0]
     f3 = parse("x^2 - 1", F3, ["x"])
     assert roots_univariate(f3) == [1, 2]
+    # the zeros 2 and -2 of the flattened polynomial report x = 4 once
+    for field in (QQ, PrimeField(7)):
+        f = parse("x^(3/2) - x - 4*x^(1/2) + 4", field, ["x"])
+        assert roots_univariate(f) == [1, 4]
 
 
 def test_roots_errors():
@@ -88,6 +93,97 @@ def test_roots_evaluate_to_zero_and_complete_over_fp():
         assert set(roots) == expected
         for r in roots:
             assert r in expected
+
+
+def _times_linear(f, a, b=1):
+    """f * (b*x - a), constant term first."""
+    return [(b * f[i - 1] if i else 0) - (a * f[i] if i < len(f) else 0)
+            for i in range(len(f) + 1)]
+
+
+@st.composite
+def _fp_univariate(draw):
+    """(p, coefficients): a cofactor (maybe constant or zero) times planted,
+    possibly repeated, linear factors and a power of x, plus maybe a term of
+    degree at least p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31, 101]))
+    residue = st.integers(0, p - 1)
+    f = draw(st.lists(residue, min_size=1, max_size=4))
+    for r in draw(st.lists(residue, max_size=5)):
+        f = [c % p for c in _times_linear(f, r)]
+    f = [0] * draw(st.integers(0, 2)) + f
+    if draw(st.booleans()):
+        f += [0] * (max(p - len(f), 0) + draw(st.integers(0, 3)))
+        f.append(draw(residue))
+    return p, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fp_univariate(), seed=st.integers(0, 2 ** 32))
+@example(case=(2, [0, 1, 1]), seed=0)            # x + x^2: all of F_2
+@example(case=(2, [1, 0, 1]), seed=0)            # (x + 1)^2
+@example(case=(101, [0, 100] + [0] * 99 + [1]), seed=0)   # x^101 - x
+@example(case=(31, [4, 4, 18, 10, 24, 1]), seed=0)  # (x - 3)^3 (x + 1)^2
+@example(case=(7, [5]), seed=0)
+@example(case=(7, [0, 0]), seed=0)
+def test_fp_root_finder_matches_brute_force(case, seed):
+    p, f = case
+    brute = [a for a in range(p)
+             if sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0]
+    assert _fp_roots(f, p, random.Random(seed)) == brute
+
+
+def _oracle_rational_roots(f):
+    """Zeros a/b of the flattened integer polynomial by trial division:
+    a divides the lowest nonzero coefficient and b the leading one."""
+    fmap, (g,) = flatten([f])
+    dense = [Fraction(0)] * (int(g.total_degree()) + 1)
+    for mono, coeff in g.terms.items():
+        dense[int(mono.exponent(0))] = coeff
+    den = lcm(*(c.denominator for c in dense))
+    ints = [int(c * den) for c in dense]
+    found = set()
+    if ints[0] == 0:
+        found.add(Fraction(0))
+        while ints[0] == 0:
+            ints.pop(0)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for a in divisors(ints[0]):
+        for b in divisors(ints[-1]):
+            for cand in (Fraction(a, b), Fraction(-a, b)):
+                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    found.add(cand)
+    return sorted({r ** fmap.orders[0] for r in found})
+
+
+@st.composite
+def _q_univariate(draw):
+    """An integer cofactor times planted linear factors b*y - a in
+    y = x^(1/L), divided by a small integer."""
+    f = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    for a, b in draw(st.lists(st.tuples(st.integers(-5, 5),
+                                        st.integers(1, 3)), max_size=3)):
+        f = _times_linear(f, a, b)
+    return (draw(st.integers(1, 3)), f, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_q_univariate())
+@example(case=(1, [3, -11, 8, 4], 1))        # (2y - 1)^2 (y + 3)
+@example(case=(2, [4, -4, -1, 1], 1))        # the zeros 2 and -2 give x = 4
+@example(case=(1, [1, -2, -5, 6], 1))        # (y - 1)(2y + 1)(3y - 1)
+@example(case=(3, [0, 0, -4, 12, -9], 5))    # -y^2 (3y - 2)^2 / 5
+def test_rational_roots_match_trial_division(case):
+    order, coeffs, den = case
+    f = QPolynomial.from_terms(
+        QQ, 1, [(Monomial.make([(0, Fraction(i, order))]), Fraction(c, den))
+                for i, c in enumerate(coeffs)])
+    if f.is_zero():
+        return
+    assert roots_univariate(f) == _oracle_rational_roots(f)
 
 
 def test_variety_examples():
@@ -298,22 +394,42 @@ def test_evaluate_matches_fraction_exponent_oracle(field, order, spec, roots):
             == _outcome(lambda: _oracle_value(f, order, point.roots)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(field=st.sampled_from([F3, F5]), order=st.sampled_from([1, 2]),
-       specs=st.lists(_SMALL_POLY, min_size=1, max_size=2))
-def test_variety_matches_fraction_exponent_oracle(field, order, specs):
-    gens = [_poly_at_order(field, spec, order) for spec in specs]
+# a generator with nonnegative exponents, or a Laurent one
+_GENERATOR = st.one_of(*[
+    st.lists(st.tuples(st.integers(1, 30), st.tuples(*[exponent] * 3)),
+             min_size=1, max_size=3)
+    for exponent in (st.integers(0, 4), st.integers(-2, 4))])
+
+
+def _poly_in(field, nvars, spec, order):
+    """Exponents k/order on the first nvars variables."""
+    pairs = [(Monomial.make((i, Fraction(k, order))
+                            for i, k in enumerate(exps[:nvars])),
+              field.coerce(c)) for c, exps in spec]
+    return QPolynomial.from_terms(field, nvars, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([PrimeField(2), PrimeField(7), PrimeField(31)]),
+       nvars=st.integers(1, 3), order=st.integers(1, 3),
+       specs=st.lists(_GENERATOR, min_size=1, max_size=3))
+@example(field=PrimeField(7), nvars=2, order=1,   # y - 1, then 1/y: no pole
+         specs=[[(1, (0, 1, 0)), (6, (0, 0, 0))], [(1, (0, -1, 0))]])
+@example(field=PrimeField(7), nvars=2, order=1,   # 1/y first: a pole at y = 0
+         specs=[[(1, (0, -1, 0))], [(1, (0, 1, 0)), (6, (0, 0, 0))]])
+@example(field=PrimeField(7), nvars=2, order=2,   # 1/x over the zero prefix
+         specs=[[(1, (0, 2, 0)), (6, (0, 0, 0))], [(1, (-1, 0, 0))]])
+def test_variety_matches_fraction_exponent_oracle(field, nvars, order, specs):
+    gens = [_poly_in(field, nvars, spec, order) for spec in specs]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
-    try:
-        points = variety_bruteforce(IdealPresentation(gens), order)
-    except PoleAtPoint:
-        with pytest.raises(PoleAtPoint):
-            _oracle_variety(gens, order)
-        return
-    assert [pt.roots for pt in points] == _oracle_variety(gens, order)
-    assert all(pt.order == order and pt.field == field for pt in points)
+    found = _outcome(lambda: variety_bruteforce(IdealPresentation(gens), order))
+    expected = _outcome(lambda: _oracle_variety(gens, order))
+    if isinstance(found, list):
+        assert all(pt.order == order and pt.field == field for pt in found)
+        found = [pt.roots for pt in found]
+    assert found == expected
 
 
 def test_variety_root_order_checked_for_every_generator():
