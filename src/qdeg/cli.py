@@ -33,6 +33,15 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("not a fraction: %r" % text)
 
 
+def _dims(text):
+    """A comma-separated list of integers (kunneth_dims checks their values)."""
+    items = _split_vars(text)
+    if not all(_INTEGER.fullmatch(x) for x in items):
+        raise argparse.ArgumentTypeError(
+            "not a comma-separated list of integers: %r" % text)
+    return [int(x) for x in items]
+
+
 def _point(text):
     """L:u1,u2,... as (L, [u1, u2, ...]): an integer root order and roots
     written as integers or a/b, checked before the field is known."""
@@ -268,9 +277,7 @@ def _cmd_cech(args):
 
 
 def _cmd_kunneth(args):
-    a = [int(x) for x in _split_vars(args.a)]
-    b = [int(x) for x in _split_vars(args.b)]
-    h = cohomology.kunneth_dims(a, b)
+    h = cohomology.kunneth_dims(args.a, args.b)
     _emit(args, {"h": list(h)}, ["h: %s" % ",".join(str(x) for x in h)])
 
 
@@ -375,8 +382,9 @@ def build_parser():
     sub.set_defaults(func=_cmd_cech)
 
     sub = subs.add_parser("kunneth")
-    sub.add_argument("--a", required=True, help="comma-separated dimensions")
-    sub.add_argument("--b", required=True)
+    sub.add_argument("--a", type=_dims, required=True,
+                     help="comma-separated dimensions")
+    sub.add_argument("--b", type=_dims, required=True)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_kunneth)
 

@@ -245,6 +245,10 @@ def kunneth_dims(a, b):
     """Dimension convolution for a product of projective spaces."""
     ha = tuple(a.h) if isinstance(a, CohomologyDims) else tuple(a)
     hb = tuple(b.h) if isinstance(b, CohomologyDims) else tuple(b)
+    for h in (ha, hb):
+        if not h or min(h) < 0:
+            raise NegativeDimension(
+                "not a list of cohomology dimensions: %r" % (list(h),))
     out = [0] * (len(ha) + len(hb) - 1)
     for i, x in enumerate(ha):
         for j, y in enumerate(hb):

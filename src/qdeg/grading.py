@@ -4,7 +4,8 @@ predicative irrelevant-ideal membership test."""
 
 from fractions import Fraction
 
-from .errors import DegreeTooSmall, RootOrderMismatch, UnknownVariable
+from .errors import (DegreeLevelMismatch, DegreeTooSmall, RootOrderMismatch,
+                     UnknownVariable)
 from .geometry import evaluate
 from .poly import Monomial, QPolynomial
 
@@ -93,5 +94,7 @@ def homogenize(f, d, new_index):
 def veronese_rational(k):
     """The degree-one embedding monomials x^((k-j)/k) y^(j/k), j = 0..k,
     emitted in ascending powers of y."""
+    if k < 1:
+        raise DegreeLevelMismatch("level %s is not a positive integer" % k)
     return [Monomial.make([(0, Fraction(k - j, k)), (1, Fraction(j, k))])
             for j in range(k + 1)]

@@ -29,7 +29,7 @@ from operator import add, le, sub
 
 from .errors import NotUnivariate
 from .flatten import FlattenMap, flatten, unflatten
-from .poly import Monomial, QPolynomial
+from .poly import Monomial, QPolynomial, int_exponents
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class GroebnerBasis:
 def _to_flat(g):
     out = {}
     for mono, coeff in g.terms.items():
-        out[tuple(int(e) for e in mono.dense(g.nvars))] = coeff
+        out[int_exponents(mono, g.nvars, 1)] = coeff
     return out
 
 

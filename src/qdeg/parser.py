@@ -14,39 +14,55 @@ Grammar (whitespace-insensitive):
     variable  := letter (letter|digit)*
 
 Implicit multiplication is rejected, and so are parentheses nested more
-than MAX_NESTING deep (the parser recurses once per level).  Fractional
+than MAX_NESTING deep (the parser recurses once per level).  The text is
+cut into tokens once.  A term multiplies its numbers and variable powers
+into one coefficient and one monomial; only parenthesized factors are
+multiplied as polynomials, and the terms are summed in one dict.  Fractional
 powers of parenthesized expressions go through charp.fractional_power and
 may raise CompositionNotPolynomial.  print emits the canonical form
 (descending graded-lex terms) and parse(print(f)) == f.
 """
 
+import re
 from fractions import Fraction
 
 from .charp import fractional_power
 from .errors import ExpressionSyntaxError, UnknownVariable
-from .poly import QPolynomial
+from .poly import Monomial, QPolynomial
 
 MAX_NESTING = 100
+_TOKEN = re.compile(r"\s*(\d+|\w+|\S)")
+_UNIT = Fraction(1)
 
 
 class _Tokens:
+    """The text cut once into tokens: runs of decimal digits (what int()
+    reads), runs of other word characters, and single other characters.
+    Whitespace only separates tokens.  ``peek`` returns the next token,
+    None at the end.  Errors give offsets into the text, found only then."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.items = _TOKEN.findall(text) + [None]
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def span(self, i):
+        """Offsets of token i in the text; (len, len) past the last."""
+        for k, match in enumerate(_TOKEN.finditer(self.text)):
+            if k == i:
+                return match.span(1)
+        return len(self.text), len(self.text)
+
+    @property
+    def pos(self):
+        return self.span(self.i)[0]
 
     def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.items[self.i]
 
     def take(self, char):
-        if self.peek() == char:
-            self.pos += 1
+        if self.items[self.i] == char:
+            self.i += 1
             return True
         return False
 
@@ -55,21 +71,25 @@ class _Tokens:
             raise ExpressionSyntaxError("expected %r" % char, self.pos)
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ExpressionSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        tok = self.items[self.i]
+        if tok is None or not tok.isdecimal():
+            raise ExpressionSyntaxError("expected an integer", self.pos)
+        self.i += 1
+        return int(tok)
+
+    def ratio(self):
+        """integer ('/' positive-integer)? as (numerator, denominator)."""
+        num = self.integer()
+        if not self.take("/"):
+            return num, 1
+        den = self.integer()
+        if den == 0:
+            raise ExpressionSyntaxError("zero denominator", self.span(self.i - 1)[1])
+        return num, den
 
     def name(self):
-        self.skip_ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.i += 1
+        return self.items[self.i - 1]
 
 
 class _Parser:
@@ -80,11 +100,11 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(self.varnames)}
         self.nvars = len(self.varnames)
         self.depth = 0
+        self.exponents = {}
 
     def parse(self):
         poly = self.expr()
-        self.toks.skip_ws()
-        if self.toks.pos != len(self.toks.text):
+        if self.toks.peek() is not None:
             raise ExpressionSyntaxError("unexpected trailing input", self.toks.pos)
         return poly
 
@@ -97,7 +117,7 @@ class _Parser:
         if not negate:
             self.toks.take("+")
         while True:
-            for mono, coeff in self.term().terms.items():
+            for mono, coeff in self.term().items():
                 if negate:
                     coeff = field.neg(coeff)
                 acc[mono] = field.add(acc.get(mono, field.zero), coeff)
@@ -109,79 +129,88 @@ class _Parser:
                 return QPolynomial(field, self.nvars, acc)
 
     def term(self):
-        poly = self.factor()
-        while self.toks.take("*"):
-            poly = poly * self.factor()
-        return poly
+        """The terms of one product, as a dict.  Number and variable
+        factors multiply into one coefficient and one exponent dict, so a
+        product without parentheses builds one monomial; parenthesized
+        factors are multiplied as polynomials."""
+        field, toks = self.field, self.toks
+        coeff = field.one
+        exps = {}
+        product = None
+        while True:
+            tok = toks.peek()
+            ch = tok[0] if tok is not None else ""
+            if ch.isdigit():
+                coeff = field.mul(coeff, self.coefficient())
+            elif ch.isalpha() or ch == "_":
+                i, e = self.variable()
+                exps[i] = exps[i] + e if i in exps else e
+            else:
+                inner = self.factor()
+                product = inner if product is None else product * inner
+            if not toks.take("*"):
+                break
+        if coeff == field.zero:
+            return {}
+        if product is None:
+            return {Monomial.make(exps.items()): coeff}
+        if exps or coeff != field.one:
+            product = QPolynomial(field, self.nvars,
+                                  {Monomial.make(exps.items()): coeff}) * product
+        return product.terms
 
     def factor(self):
-        ch = self.toks.peek()
-        if ch is None:
+        """A parenthesized expression, optionally raised to an exponent."""
+        tok = self.toks.peek()
+        if tok is None:
             raise ExpressionSyntaxError("unexpected end of input", self.toks.pos)
-        if ch.isdigit():
-            return self.coefficient()
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError("parentheses nested deeper than %d"
-                                            % MAX_NESTING, self.toks.pos)
-            self.toks.expect("(")
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.toks.expect(")")
-            if self.toks.take("^"):
-                return fractional_power(inner, self.exponent())
-            return inner
-        if ch.isalpha() or ch == "_":
-            pos = self.toks.pos
-            name = self.toks.name()
-            if name not in self.index:
-                raise UnknownVariable("unknown variable %r at offset %d"
-                                      % (name, pos))
-            exponent = Fraction(1)
-            if self.toks.take("^"):
-                exponent = self.exponent()
-            return QPolynomial.variable(self.field, self.nvars,
-                                        self.index[name], exponent)
-        raise ExpressionSyntaxError("unexpected character %r" % ch, self.toks.pos)
+        if tok != "(":
+            raise ExpressionSyntaxError("unexpected character %r" % tok[0],
+                                        self.toks.pos)
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError("parentheses nested deeper than %d"
+                                        % MAX_NESTING, self.toks.pos)
+        self.toks.expect("(")
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.toks.expect(")")
+        if self.toks.take("^"):
+            return fractional_power(inner, self.exponent())
+        return inner
+
+    def variable(self):
+        """(index, exponent) of a variable factor."""
+        name = self.toks.name()
+        if name not in self.index:
+            raise UnknownVariable("unknown variable %r at offset %d"
+                                  % (name, self.toks.span(self.toks.i - 1)[0]))
+        exponent = self.exponent() if self.toks.take("^") else _UNIT
+        return self.index[name], exponent
 
     def coefficient(self):
-        num = self.toks.integer()
-        if self._slash_ahead():
-            self.toks.expect("/")
-            den = self.toks.integer()
-            if den == 0:
-                raise ExpressionSyntaxError("zero denominator", self.toks.pos)
-            if self.field.characteristic == 0:
-                value = Fraction(num, den)
-            else:
-                value = self.field.div(self.field.coerce(num),
-                                       self.field.coerce(den))
-            return QPolynomial.constant(self.field, self.nvars, value)
-        return QPolynomial.constant(self.field, self.nvars, num)
-
-    def _slash_ahead(self):
-        return self.toks.peek() == "/"
+        field = self.field
+        num, den = self.toks.ratio()
+        if den == 1:
+            return field.coerce(num)
+        if field.characteristic == 0:
+            return Fraction(num, den)
+        return field.div(field.coerce(num), field.coerce(den))
 
     def exponent(self):
-        if self.toks.take("("):
-            sign = -1 if self.toks.take("-") else 1
-            num = self.toks.integer()
-            den = 1
-            if self.toks.take("/"):
-                den = self.toks.integer()
-                if den == 0:
-                    raise ExpressionSyntaxError("zero denominator", self.toks.pos)
-            self.toks.expect(")")
-            return Fraction(sign * num, den)
-        num = self.toks.integer()
-        if self._slash_ahead():
-            self.toks.expect("/")
-            den = self.toks.integer()
-            if den == 0:
-                raise ExpressionSyntaxError("zero denominator", self.toks.pos)
-            return Fraction(num, den)
-        return Fraction(num)
+        """The exponent after '^', one Fraction per distinct value."""
+        toks = self.toks
+        if toks.take("("):
+            sign = -1 if toks.take("-") else 1
+            num, den = toks.ratio()
+            toks.expect(")")
+            num *= sign
+        else:
+            num, den = toks.ratio()
+        e = self.exponents.get((num, den))
+        if e is None:
+            e = self.exponents[num, den] = Fraction(num, den)
+        return e
 
 
 def parse(text, field, varnames):
@@ -242,7 +271,6 @@ def to_term_list(f, varnames):
 
 def from_term_list(data, field, varnames):
     """Inverse of to_term_list (bit-exact round trip)."""
-    from .poly import Monomial
     index = {name: i for i, name in enumerate(varnames)}
     pairs = []
     for entry in data:

@@ -6,29 +6,57 @@ canonical (zero exponents and zero coefficients are dropped eagerly), so
 equality is structural.  Negative exponents are allowed in the Laurent
 extension used by derivatives and cohomology bases; ring-level operations
 that require nonnegative exponents check for themselves.
+
+Exponents are Fractions only at the edges of an operation.  Products and
+the print order scale every exponent of the operands once to an int
+vector at their joint level (the lcm of the denominators, see
+``int_exponents``), work on those vectors, and build each result monomial
+once (packed exponents, after Monagan & Pearce, CASC 2007).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter
 
 from .errors import FieldMismatch
 
 
-@dataclass(frozen=True)
 class Monomial:
     """Product of variable powers; ``exps`` is a sorted tuple of
-    (variable index, nonzero Fraction exponent) pairs."""
+    (variable index, nonzero Fraction exponent) pairs.
 
-    exps: tuple
+    Monomials are dict keys: ``exps`` must never be rebound after
+    construction.  The hash is computed on first use and kept."""
+
+    __slots__ = ("exps", "_hash")
+
+    def __init__(self, exps):
+        self.exps = exps
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.exps,))
+        return h
+
+    def __repr__(self):
+        return "Monomial(exps=%r)" % (self.exps,)
 
     @staticmethod
     def make(pairs):
-        cleaned = tuple(sorted((i, Fraction(e)) for i, e in pairs if e != 0))
-        return Monomial(cleaned)
+        return Monomial(tuple(sorted(
+            (i, e if type(e) is Fraction else Fraction(e))
+            for i, e in pairs if e)))
 
     @staticmethod
     def one():
-        return Monomial(())
+        return _ONE
 
     def degree(self):
         return sum((e for _, e in self.exps), Fraction(0))
@@ -43,10 +71,22 @@ class Monomial:
         return tuple(i for i, _ in self.exps)
 
     def mul(self, other):
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         acc = dict(self.exps)
         for i, e in other.exps:
-            acc[i] = acc.get(i, Fraction(0)) + e
-        return Monomial.make(acc.items())
+            s = acc.get(i)
+            if s is None:
+                acc[i] = e
+                continue
+            s += e
+            if s:
+                acc[i] = s
+            else:
+                del acc[i]
+        return Monomial(tuple(sorted(acc.items())))
 
     def scale_exponents(self, q):
         """Raise the monomial to the rational power q."""
@@ -66,9 +106,32 @@ class Monomial:
         return tuple(out)
 
 
-def grlex_key(mono, nvars):
-    """Graded lexicographic sort key (degree first, then variable 0, 1, ...)."""
-    return (mono.degree(), mono.dense(nvars))
+_ONE = Monomial(())
+
+
+def _joint_level(monos):
+    """The lcm of the exponent denominators of the monomials (1 if none)."""
+    dens = {e.denominator for m in monos for _, e in m.exps}
+    dens.discard(1)
+    return lcm(*dens) if dens else 1
+
+
+def int_exponents(mono, nvars, level):
+    """The dense exponent vector of mono times level, as ints; level must
+    be a multiple of every exponent denominator of mono."""
+    out = [0] * nvars
+    for i, e in mono.exps:
+        out[i] = e.numerator * (level // e.denominator)
+    return tuple(out)
+
+
+def _graded_order(terms, nvars):
+    """(sum, vector) print-order keys of the monomials of a term dict, on
+    their int vectors at the joint level (scaling by it keeps the order)."""
+    level = _joint_level(terms)
+    for mono, coeff in terms.items():
+        vec = int_exponents(mono, nvars, level)
+        yield (sum(vec), vec), mono, coeff
 
 
 class QPolynomial:
@@ -114,10 +177,10 @@ class QPolynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(m == Monomial.one() for m in self.terms)
+        return all(not m.exps for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get(Monomial.one(), self.field.zero)
+        return self.terms.get(_ONE, self.field.zero)
 
     def has_fractional_exponents(self):
         return any(not m.is_integral() for m in self.terms)
@@ -153,12 +216,32 @@ class QPolynomial:
     def __mul__(self, other):
         self._check_compatible(other)
         f = self.field
+        n = self.nvars
+        if not self.terms or not other.terms:
+            return QPolynomial(f, n, {})
+        level = _joint_level((*self.terms, *other.terms))
+        left = [(int_exponents(m, n, level), c) for m, c in self.terms.items()]
+        right = [(int_exponents(m, n, level), c) for m, c in other.terms.items()]
+        fadd, fmul, zero = f.add, f.mul, f.zero
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
-        return QPolynomial(f, self.nvars, acc)
+        for v1, c1 in left:
+            for v2, c2 in right:
+                v = tuple(map(add, v1, v2))
+                acc[v] = fadd(acc.get(v, zero), fmul(c1, c2))
+        fraction_of = {}
+        terms = {}
+        for v, c in acc.items():
+            if c == zero:
+                continue
+            exps = []
+            for i, k in enumerate(v):
+                if k:
+                    e = fraction_of.get(k)
+                    if e is None:
+                        e = fraction_of[k] = Fraction(k, level)
+                    exps.append((i, e))
+            terms[Monomial(tuple(exps))] = c
+        return QPolynomial(f, n, terms)
 
     def __pow__(self, e):
         if e < 0:
@@ -189,8 +272,9 @@ class QPolynomial:
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical iteration)."""
-        return sorted(self.terms.items(),
-                      key=lambda mc: grlex_key(mc[0], self.nvars), reverse=True)
+        keyed = sorted(_graded_order(self.terms, self.nvars),
+                       key=itemgetter(0), reverse=True)
+        return [(mono, coeff) for _, mono, coeff in keyed]
 
     def total_degree(self):
         """Max term degree as a Fraction, or None for the zero polynomial."""
@@ -200,8 +284,9 @@ class QPolynomial:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        mono = max(self.terms, key=lambda m: grlex_key(m, self.nvars))
-        return mono, self.terms[mono]
+        _, mono, coeff = max(_graded_order(self.terms, self.nvars),
+                             key=itemgetter(0))
+        return mono, coeff
 
     def substitute(self, args):
         """Substitute args[i] for variable i.  Requires nonnegative integer

@@ -233,6 +233,37 @@ def test_compose_fuzz_exit_codes(field, names, outer, exprs, json_flag):
     _assert_clean_exit(argv + (["--json"] if json_flag else []))
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(-3, 12).map(str), _GARBAGE),
+       json_flag=st.booleans())
+def test_embed_fuzz_exit_codes(k, json_flag):
+    _assert_clean_exit(["embed", "--k=" + k] + (["--json"] if json_flag else []))
+
+
+_DIM_LISTS = st.one_of(
+    st.lists(st.integers(-2, 40).map(str), max_size=4).map(",".join),
+    st.text(alphabet="0123,-+a ", max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_DIM_LISTS, b=_DIM_LISTS, json_flag=st.booleans())
+def test_kunneth_fuzz_exit_codes(a, b, json_flag):
+    _assert_clean_exit(["kunneth", "--a=" + a, "--b=" + b]
+                       + (["--json"] if json_flag else []))
+
+
+def test_embed_and_kunneth_parameter_errors(cli):
+    for k in ("0", "-1"):
+        code, out, err = cli("embed", "--k=" + k)
+        assert (code, out) == (1, "") and err.startswith("DegreeLevelMismatch:")
+    code, out, _ = cli("kunneth", "--a", "1,a", "--b", "1")
+    assert (code, out) == (2, "")
+    for a in ("1,-1", ","):
+        code, out, err = cli("kunneth", "--a=" + a, "--b", "2")
+        assert (code, out) == (1, "") and err.startswith("NegativeDimension:")
+    assert cli("kunneth", "--a", "0,1", "--b", "0,0,3") == (0, "h: 0,0,0,3\n", "")
+
+
 def test_compose_arity_error(cli):
     code, out, err = cli("compose", "--outer-vars", "a,b", "--vars", "x",
                          "a*b", "x")

@@ -147,6 +147,13 @@ def test_basis_counts_match_formulas():
                 hn_count(n, Fraction(num, 2), 2)
 
 
+def test_kunneth_rejects_what_is_not_a_dimension_list():
+    assert kunneth_dims((0,), (0, 0)) == (0, 0)
+    for a, b in (((), (1,)), ((1,), ()), ((1, -1), (2,)), ((2,), (-3,))):
+        with pytest.raises(NegativeDimension):
+            kunneth_dims(a, b)
+
+
 def test_kunneth_examples():
     assert kunneth_dims((2, 0), (2, 0)) == (4, 0, 0)
     assert kunneth_dims((0, 1), (0, 1)) == (0, 0, 1)

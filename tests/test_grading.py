@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import qq_poly, random_poly
-from qdeg.errors import DegreeTooSmall
+from qdeg.errors import DegreeLevelMismatch, DegreeTooSmall
 from qdeg.fields import QQ
 from qdeg.geometry import PointWithRoots
 from qdeg.grading import (dehomogenize, homogeneous_components, homogenize,
@@ -140,6 +140,12 @@ def test_veronese_examples():
     k3 = veronese_rational(3)
     assert [m.exponent(1) for m in k3] == [Fraction(0), Fraction(1, 3),
                                            Fraction(2, 3), Fraction(1)]
+
+
+def test_veronese_needs_a_positive_level():
+    for k in (0, -1):
+        with pytest.raises(DegreeLevelMismatch):
+            veronese_rational(k)
 
 
 def test_veronese_all_degree_one():

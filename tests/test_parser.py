@@ -192,3 +192,45 @@ def test_parse_builds_the_sum_without_polynomial_additions(monkeypatch):
     f = parse(text, QQ, XY)
     assert len(f.terms) == 2000
     assert f.terms[Monomial.make([(0, Fraction(1999, 7)), (1, 1)])] == -2000
+
+
+def test_parse_products_of_numbers_and_variables():
+    names = ["x", "y"]
+
+    def mono(*pairs):
+        return Monomial.make(pairs)
+
+    assert parse("x*3*y", QQ, names).terms == {mono((0, 1), (1, 1)): 3}
+    assert parse("x^(1/2)*x^(1/2)", QQ, names).terms == {mono((0, 1)): 1}
+    assert parse("x*x^(-1)", QQ, names).terms == {Monomial.one(): 1}
+    assert parse("0*x", QQ, names).is_zero()
+    assert parse("5*x", F5, names).is_zero()
+    assert parse("2/3*x*3/2", QQ, names).terms == {mono((0, 1)): 1}
+    assert parse("2*(x+1)*y^(1/2)", QQ, names).terms == {
+        mono((0, 1), (1, Fraction(1, 2))): 2, mono((1, Fraction(1, 2))): 2}
+    assert parse("x*(x^(-1)+y)*(y - 1)", F5, names) == parse(
+        "y + x*y^2 - 1 - x*y", F5, names)
+    # a term that is zero leaves no key behind for a later equal term
+    assert list(parse("0*x + y + x", QQ, names).terms) == [mono((1, 1)),
+                                                           mono((0, 1))]
+
+
+def test_parse_builds_monomial_terms_without_polynomial_products(monkeypatch):
+    text = " + ".join("%d*x^(%d/5)*y*3*x^(-1/5)" % (k + 1, k)
+                      for k in range(200))
+
+    def refuse(self, other):
+        raise AssertionError("parse multiplied polynomials for a monomial term")
+
+    monkeypatch.setattr(QPolynomial, "__mul__", refuse)
+    f = parse(text, QQ, XY)
+    assert len(f.terms) == 200
+    assert f.terms[Monomial.make([(0, Fraction(198, 5)), (1, 1)])] == 600
+
+
+@pytest.mark.parametrize("text, offset", [("\u00b2", 0), ("x^\u00b2", 2),
+                                          ("x + 1\u00b2", 5)])
+def test_digits_int_cannot_read_are_syntax_errors(text, offset):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(text, QQ, ["x"])
+    assert info.value.position == offset

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_poly
 from qdeg.errors import FieldMismatch
 from qdeg.fields import QQ, PrimeField
+from qdeg.parser import parse
 from qdeg.poly import Monomial, QPolynomial
 
 F2 = PrimeField(2)
+F7 = PrimeField(7)
 
 
 def xvar(field=QQ, nvars=1, e=1):
@@ -120,3 +123,82 @@ def test_sorted_terms_graded_lex():
     assert degrees == sorted(degrees, reverse=True)
     # same degree: lex on variable 0 first
     assert monos[0] == Monomial.make([(0, 1), (1, 1)])
+
+
+# ---- int exponents inside products and the print order ----
+
+def _fraction_dict_product(f, g):
+    """Oracle: the product as the Fraction exponent dicts give it, one
+    exponent merge per term pair."""
+    field = f.field
+    acc = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            exps = dict(m1.exps)
+            for i, e in m2.exps:
+                exps[i] = exps.get(i, Fraction(0)) + e
+            mono = Monomial.make(exps.items())
+            acc[mono] = field.add(acc.get(mono, field.zero), field.mul(c1, c2))
+    return QPolynomial(field, f.nvars, acc)
+
+
+def _grlex_key(mono, nvars):
+    """Oracle: the print-order key on Fractions (degree, dense exponents)."""
+    return (mono.degree(), mono.dense(nvars))
+
+
+_EXPONENT = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+_MONOMIAL = st.dictionaries(st.integers(0, 2), _EXPONENT, max_size=3)
+_COEFF = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+_TERMS = st.lists(st.tuples(_MONOMIAL, _COEFF), max_size=5)
+
+
+def _poly(field, terms):
+    return QPolynomial.from_terms(field, 3, [
+        (Monomial.make(exps.items()),
+         field.div(field.coerce(a), field.coerce(b))) for exps, (a, b) in terms])
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([QQ, F7]), f=_TERMS, g=_TERMS)
+@example(field=QQ, f=[({0: Fraction(1, 2)}, (1, 1)), ({}, (1, 1))],
+         g=[({0: Fraction(1, 2)}, (1, 1)), ({}, (-1, 1))])
+@example(field=F7, f=[({1: Fraction(-1, 3)}, (3, 1))],
+         g=[({1: Fraction(1, 3)}, (5, 1)), ({2: Fraction(-5, 6)}, (1, 2))])
+def test_mul_matches_fraction_dict_product(field, f, g):
+    f, g = _poly(field, f), _poly(field, g)
+    got, want = f * g, _fraction_dict_product(f, g)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert all(m.exps == Monomial.make(m.exps).exps for m in got.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from([QQ, F7]), f=_TERMS)
+def test_print_order_matches_fraction_grlex(field, f):
+    f = _poly(field, f)
+    key = lambda m: _grlex_key(m, f.nvars)
+    assert [m for m, _ in f.sorted_terms()] == sorted(f.terms, key=key,
+                                                      reverse=True)
+    if not f.is_zero():
+        mono = max(f.terms, key=key)
+        assert f.leading() == (mono, f.terms[mono])
+
+
+def test_equal_monomials_hash_equal():
+    half = Fraction(1, 2)
+    made = Monomial.make([(1, 1), (0, half)])
+    multiplied = Monomial.make([(0, Fraction(1, 4)), (2, 3)]).mul(
+        Monomial.make([(0, Fraction(1, 4)), (1, Fraction(2, 2)), (2, -3)]))
+    parsed, = parse("x^(1/4)*y*x^(1/4)", QQ, ["x", "y", "z"]).terms
+    product, = (QPolynomial.variable(QQ, 3, 0, Fraction(1, 6))
+                * parse("x^(1/3)*y", QQ, ["x", "y", "z"])).terms
+    monos = [made, multiplied, parsed, product]
+    assert all(m == made for m in monos)
+    assert len({hash(m) for m in monos}) == 1
+    assert len(set(monos)) == 1
+    assert repr(made) == "Monomial(exps=((0, Fraction(1, 2)), (1, Fraction(1, 1))))"
+    assert Monomial.make([]) == Monomial.one() and not Monomial.one().exps
+    assert made.mul(Monomial.one()) == made == Monomial.one().mul(made)
+    assert made.mul(Monomial.make([(0, -half), (1, -1)])) == Monomial.one()
+    assert made != made.exps
