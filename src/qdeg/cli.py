@@ -7,13 +7,14 @@ output is exact; fractions print as a/b.
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
 from . import charp, cohomology, flatten, geometry, grading, ideals
 from .errors import FieldMismatch, QdegError
-from .fields import field_from_name
+from .fields import QQ, field_from_name
 from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
 
@@ -84,7 +85,6 @@ def _parse_point(field, point):
 
 
 def _mono_text(mono, varnames):
-    from .fields import QQ
     poly = QPolynomial(QQ, len(varnames), {mono: QQ.one})
     return print_poly(poly, varnames)
 
@@ -409,9 +409,14 @@ def build_parser():
     return top
 
 
+_parser = None
+
+
 def run(argv):
-    """Dispatch one invocation; returns the process exit code."""
-    top = build_parser()
+    """Dispatch one invocation; returns the process exit code.  The parser
+    is built on the first call and reused by later ones."""
+    global _parser
+    top = _parser = _parser or build_parser()
     try:
         _reject_empty_values(top, argv)
         args = top.parse_args(_glue_negative_values(argv))
@@ -426,7 +431,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is left nowhere, so the
+        # flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -77,6 +77,10 @@ class DegreeLevelMismatch(QdegError):
     pass
 
 
+class LevelTooLarge(DegreeLevelMismatch):
+    """A level above the fixed limit of the operation."""
+
+
 class NegativeDimension(QdegError):
     pass
 

@@ -30,9 +30,9 @@ from random import Random
 from .errors import (FieldMismatch, NotUnivariate, PoleAtPoint,
                      PointNotOnVariety, RootOrderMismatch, ScanTooLarge,
                      ZeroPolynomial)
-from .fields import QQ, is_prime
+from . import upoly
+from .fields import is_prime
 from .flatten import flatten
-from .ideals import _poly_divmod, _trim as _trim_field
 from .linalg import matrix_rank
 from .poly import Monomial, QPolynomial
 
@@ -111,60 +111,6 @@ def evaluate(f, point):
     return _evaluate_powers(f.field, _root_powers(f, point.order), point.roots)
 
 
-# ---------------------------------------------------------------------------
-# dense univariates over F_p: lists of ints, constant term first, no
-# trailing zeros once trimmed
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _reduce(a, m, p):
-    """The remainder of a by the monic m.  The division runs in place:
-    afterwards a[deg m:] holds the quotient."""
-    dm = len(m) - 1
-    for top in range(len(a) - 1, dm - 1, -1):
-        c = a[top] = a[top] % p
-        if c:
-            base = top - dm
-            for i in range(dm):
-                a[base + i] -= c * m[i]
-    return _trim([c % p for c in a[:dm]])
-
-
-def _powmod(a, e, m, p):
-    """(x + a)^e modulo the monic m, by square-and-multiply."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        square = [0] * (2 * len(result) - 1)
-        for i, x in enumerate(result):
-            for j, y in enumerate(result, i):
-                square[j] += x * y
-        result = _reduce(square, m, p)
-        if bit == "1":
-            result = _reduce([a * c + d for c, d in
-                              zip(result + [0], [0] + result)], m, p)
-    return result
-
-
-def _gcd(a, b, p):
-    """Monic gcd of two polynomials over F_p; [] when both are zero."""
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b:
-        if len(b) == 1:
-            return [1]
-        b = _monic(b, p)
-        a, b = b, _reduce(a, b, p)
-    return _monic(a, p) if a else a
-
-
 def _fold(e, p):
     """An exponent in [0, p) with u^e = u^fold(e, p) for every u in F_p."""
     return e if e < p else (e - 1) % (p - 1) + 1
@@ -174,18 +120,18 @@ def _fp_roots(f, p, rng):
     """The distinct zeros in F_p, ascending, of the polynomial with int
     coefficients f (constant term first); all of F_p when f is zero mod p.
     The splitting draws from rng; the zeros do not depend on it."""
-    f = _trim([c % p for c in f])
+    f = upoly.trim([c % p for c in f])
     if not f:
         return list(range(p))
     roots = []
     if not f[0]:
         roots.append(0)
         f = f[next(i for i, c in enumerate(f) if c):]
-    f = _monic(f, p)
+    f = upoly.monic(f, p)
     if len(f) > 2:
-        xp = _powmod(0, p, f, p) + [0, 0]
+        xp = upoly.powmod(0, p, f, p) + [0, 0]
         xp[1] -= 1
-        f = _gcd(f, xp, p)
+        f = upoly.gcd(f, xp, p)
     _split(f, p, rng, roots)
     return sorted(roots)
 
@@ -199,13 +145,13 @@ def _split(g, p, rng, roots):
     if len(g) <= 2:
         return
     while True:
-        w = _powmod(rng.randrange(p), (p - 1) // 2, g, p)
+        w = upoly.powmod(rng.randrange(p), (p - 1) // 2, g, p)
         w[0] -= 1
-        d = _gcd(g, w, p)
+        d = upoly.gcd(g, w, p)
         if 1 < len(d) < len(g):
             break
     rest = list(g)
-    _reduce(rest, d, p)
+    upoly.divide(rest, d, p)
     _split(d, p, rng, roots)
     _split(rest[len(d) - 1:], p, rng, roots)
 
@@ -222,11 +168,10 @@ def _value(f, x):
 
 def _squarefree_part(f):
     """Primitive integer form of f / gcd(f, f') for an integer f."""
-    a = [Fraction(c) for c in f]
-    b = _trim_field([Fraction(i * c) for i, c in enumerate(f)][1:], QQ)
-    while b:
-        a, b = b, _poly_divmod(a, b, QQ)[1]
-    q = _poly_divmod([Fraction(c) for c in f], a, QQ)[0]
+    d = upoly.gcd(f, [i * c for i, c in enumerate(f)][1:], 0)
+    q = list(f)
+    upoly.divide(q, d, 0)
+    q = q[len(d) - 1:]
     den = lcm(*(c.denominator for c in q))
     ints = [int(c * den) for c in q]
     content = gcd(*ints)
@@ -257,7 +202,7 @@ def _rational_roots(f):
     dh = [i * c for i, c in enumerate(h)][1:]
     # p keeps the degree of h and leaves it square-free
     p = next(q for q in count(101, 2)
-             if is_prime(q) and h[-1] % q and len(_gcd(h, dh, q)) == 1)
+             if is_prime(q) and h[-1] % q and len(upoly.gcd(h, dh, q)) == 1)
     # a zero a/b has a | a_0 and b | a_n
     bound = 2 * abs(h[0]) * abs(h[-1])
     for r in _fp_roots(h, p, Random(0)):
@@ -361,9 +306,10 @@ def variety_bruteforce(gens, order):
                 for i, pw in powers:
                     coeff *= pow(prefix[i], pw, p)
                 h[e] += coeff
-            h = _trim([c % p for c in h])
+            h = upoly.trim([c % p for c in h])
             if h:
-                common = _monic(h, p) if common is None else _gcd(common, h, p)
+                common = (upoly.monic(h, p) if common is None
+                          else upoly.gcd(common, h, p))
                 if len(common) == 1:
                     break
         for u in (range(p) if common is None
@@ -400,13 +346,8 @@ def jacobian(gens, point):
     """The n x r matrix of partials (rows = variables, columns = generators)."""
     gens = list(gens)
     n = gens[0].nvars if gens else point.nvars
-    rows = []
-    for i in range(n):
-        row = []
-        for g in gens:
-            row.append(evaluate(partial_derivative(g, i), point))
-        rows.append(row)
-    return rows
+    return [[evaluate(partial_derivative(g, i), point) for g in gens]
+            for i in range(n)]
 
 
 def tangent_space(gens, point):
@@ -414,9 +355,8 @@ def tangent_space(gens, point):
     equations sum_i (df_j/dX_i)(P) (X_i - x_i) = 0."""
     gens = list(gens)
     field = point.field
-    for g in gens:
-        if evaluate(g, point) != field.zero:
-            raise PointNotOnVariety("a generator does not vanish at the point")
+    if any(evaluate(g, point) != field.zero for g in gens):
+        raise PointNotOnVariety("a generator does not vanish at the point")
     jac = jacobian(gens, point)
     n = len(jac)
     rank = matrix_rank(jac, field)

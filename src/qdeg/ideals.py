@@ -16,9 +16,8 @@ Labahn, Algorithms for Computer Algebra, 2.6).  Over F_p the same loop runs
 on residues with monic divisors.  Fractions appear only where a polynomial
 enters and where the monic reduced basis leaves.
 
-Univariate Bezout GCDs come from the extended Euclidean algorithm on the
-flattened pair, run on monic remainders: only the f-cofactor u is carried,
-and v = (d - u*f)/g is one exact division at the end.
+Univariate Bezout GCDs come from the extended Euclidean algorithm of
+upoly on the dense coefficient lists of the flattened pair.
 """
 
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
 
+from . import upoly
 from .errors import NotUnivariate
 from .flatten import FlattenMap, flatten, unflatten
 from .poly import Monomial, QPolynomial, int_exponents
@@ -348,62 +348,6 @@ def is_proper(gens, level=None):
 # ---------------------------------------------------------------------------
 # univariate Bezout GCD
 
-def _dense_univariate(fd, field):
-    if not fd:
-        return []
-    deg = max(m[0] for m in fd)
-    out = [field.zero] * (deg + 1)
-    for m, c in fd.items():
-        out[m[0]] = c
-    return out
-
-
-def _trim(coeffs, field):
-    while coeffs and coeffs[-1] == field.zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _monic(r, u, field):
-    """r and u divided by the leading coefficient of r."""
-    inv_lead = field.inv(r[-1])
-    return ([field.mul(c, inv_lead) for c in r],
-            [field.mul(c, inv_lead) for c in u])
-
-
-def _poly_divmod(a, b, field):
-    a = list(a)
-    q = [field.zero] * max(len(a) - len(b) + 1, 0)
-    inv_lead = field.inv(b[-1])
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        factor = field.mul(a[-1], inv_lead)
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(factor, bc))
-        _trim(a, field)
-    return q, a
-
-
-def _poly_mul(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _trim(out, field)
-
-
-def _poly_sub(a, b, field):
-    out = [field.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = field.sub(out[i], y)
-    return _trim(out, field)
-
-
 def gcd_univariate(f, g):
     """Monic gcd with Bezout cofactors: u*f + v*g = gcd, at the joint level."""
     for h in (f, g):
@@ -414,28 +358,15 @@ def gcd_univariate(f, g):
     zero = QPolynomial.zero(field, 1)
     if f.is_zero() and g.is_zero():
         return zero, zero, zero
-    fmap, (ff, gg) = flatten([f, g])
-    fd, gd = (_dense_univariate(_to_flat(ff), field),
-              _dense_univariate(_to_flat(gg), field))
-    # monic remainder sequence; each u is the f-cofactor of its remainder
-    r0, u0 = _monic(fd, [field.one], field) if fd else (fd, [field.one])
-    r1, u1 = _monic(gd, [], field) if gd else (gd, [])
-    while r1:
-        q, r = _poly_divmod(r0, r1, field)
-        u = []
-        if r:
-            r, u = _monic(r, _poly_sub(u0, _poly_mul(q, u1, field), field),
-                          field)
-        r0, u0, r1, u1 = r1, u1, r, u
-    v = []
-    if gd:
-        v, rem = _poly_divmod(_poly_sub(r0, _poly_mul(u0, fd, field), field),
-                              gd, field)
-        if rem:
-            raise ArithmeticError("gcd_univariate: g does not divide d - u*f")
+    fmap, flats = flatten([f, g])
+    dense = []
+    for fd in map(_to_flat, flats):
+        top = max(fd, default=(-1,))[0]
+        dense.append([fd.get((e,), 0) for e in range(top + 1)])
+    d, u, v = upoly.gcdex(*dense, field.characteristic)
 
     def lift(coeffs):
-        terms = {(i,): c for i, c in enumerate(coeffs) if c != field.zero}
+        terms = {(i,): c for i, c in enumerate(coeffs) if c}
         return unflatten(fmap, _from_flat(field, 1, terms))
 
-    return lift(r0), lift(u0), lift(v)
+    return lift(d), lift(u), lift(v)

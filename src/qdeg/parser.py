@@ -227,10 +227,6 @@ def _format_exponent(e):
     return "^(%s)" % e
 
 
-def _coefficient_is_negative(field, c):
-    return field.characteristic == 0 and c < 0
-
-
 def print_poly(f, varnames):
     """Canonical text: descending graded-lex terms, exponent 1 omitted,
     fractional exponents parenthesized.  parse(print(f)) == f."""
@@ -240,7 +236,7 @@ def print_poly(f, varnames):
     varnames = list(varnames)
     parts = []
     for idx, (mono, coeff) in enumerate(f.sorted_terms()):
-        negative = _coefficient_is_negative(field, coeff)
+        negative = field.characteristic == 0 and coeff < 0
         magnitude = field.neg(coeff) if negative else coeff
         factors = []
         if magnitude != field.one or not mono.exps:

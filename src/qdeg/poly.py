@@ -93,12 +93,6 @@ class Monomial:
         q = Fraction(q)
         return Monomial.make((i, e * q) for i, e in self.exps)
 
-    def is_integral(self):
-        return all(e.denominator == 1 for _, e in self.exps)
-
-    def has_negative(self):
-        return any(e < 0 for _, e in self.exps)
-
     def dense(self, nvars):
         out = [Fraction(0)] * nvars
         for i, e in self.exps:
@@ -178,15 +172,6 @@ class QPolynomial:
 
     def is_constant(self):
         return all(not m.exps for m in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(_ONE, self.field.zero)
-
-    def has_fractional_exponents(self):
-        return any(not m.is_integral() for m in self.terms)
-
-    def has_negative_exponents(self):
-        return any(m.has_negative() for m in self.terms)
 
     def _check_compatible(self, other):
         if self.field != other.field:

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdeg import cli as cli_module
 from qdeg.cli import run
+from qdeg.grading import MAX_VERONESE_LEVEL
 
 
 @pytest.fixture
@@ -256,6 +262,11 @@ def test_embed_and_kunneth_parameter_errors(cli):
     for k in ("0", "-1"):
         code, out, err = cli("embed", "--k=" + k)
         assert (code, out) == (1, "") and err.startswith("DegreeLevelMismatch:")
+    code, out, err = cli("embed", "--k", str(MAX_VERONESE_LEVEL))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == MAX_VERONESE_LEVEL + 1
+    code, out, err = cli("embed", "--k", str(MAX_VERONESE_LEVEL + 1))
+    assert (code, out) == (1, "") and err.startswith("LevelTooLarge:")
     code, out, _ = cli("kunneth", "--a", "1,a", "--b", "1")
     assert (code, out) == (2, "")
     for a in ("1,-1", ","):
@@ -401,3 +412,72 @@ def test_double_dash_option_value_is_usage_error(cli):
         assert (code, out) == (2, "") and "expected one argument" in err
     code, out, _ = cli("parse", "--vars", "x", "--", "--x=--")
     assert (code, out) == (1, "")
+
+
+# ---- one parser per process ----
+
+_MIXED_ARGV = [
+    ("member", "--vars", "x", "--ideal", "x^(1/2)", "x"),
+    ("member", "--vars", "x", "--ideal", "x - 1", "--ideal", "x + 1", "1"),
+    ("proper", "--vars", "x"),
+    ("proper", "--vars", "x", "--ideal", "x", "--ideal", "x - 1"),
+    ("variety", "--field", "fp:5", "--vars", "x,y", "--ideal", "x - y"),
+    ("variety", "--field", "fp:5", "--vars", "x,y", "--ideal", "x*y - 1",
+     "--point-level", "2"),
+    ("gcd", "--vars", "x", "x - 1", "x^(1/2) - 1"),
+    ("parse", "--json", "--vars", "x", "2*x^(5/6)"),
+    ("cech", "--n", "2", "--deg", "-3", "--den", "1", "--box", "3",
+     "--basis", "hn"),
+    ("no-such-command",),
+    ("embed", "--k", "3", "--json"),
+    ("kunneth", "--a", "0,1", "--b", "0,0,3"),
+    ("cech", "--n", "2"),
+    ("proper", "--vars", "x", "--ideal", "x"),
+]
+
+
+def _run_captured(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once(monkeypatch):
+    builds = []
+    build = cli_module.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_module, "build_parser", counting_build)
+    monkeypatch.setattr(cli_module, "_parser", None)
+    for argv in _MIXED_ARGV:
+        _run_captured(argv)
+    assert len(builds) == 1
+
+
+def test_reused_parser_answers_as_a_fresh_one(monkeypatch):
+    fresh = []
+    for argv in _MIXED_ARGV:
+        monkeypatch.setattr(cli_module, "_parser", None)
+        fresh.append(_run_captured(argv))
+    reused = [_run_captured(argv) for argv in _MIXED_ARGV]
+    assert reused == fresh
+    # the ideal lists of earlier calls do not carry over
+    assert reused[2][:2] == (0, "true\n")
+    assert reused[-1][:2] == (0, "true\n")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qdeg.cli", "embed",
+                             "--k", "5000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(100)
+    proc.stdout.close()  # more than a pipe buffer of output is still to come
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import qq_poly, random_poly
-from qdeg.errors import DegreeLevelMismatch, DegreeTooSmall
+from qdeg.errors import DegreeLevelMismatch, DegreeTooSmall, LevelTooLarge
 from qdeg.fields import QQ
 from qdeg.geometry import PointWithRoots
-from qdeg.grading import (dehomogenize, homogeneous_components, homogenize,
+from qdeg.grading import (MAX_VERONESE_LEVEL, dehomogenize,
+                          homogeneous_components, homogenize,
                           in_irrelevant_ideal, is_homogeneous, scaling_check,
                           veronese_rational)
 from qdeg.poly import Monomial, QPolynomial
@@ -146,6 +147,13 @@ def test_veronese_needs_a_positive_level():
     for k in (0, -1):
         with pytest.raises(DegreeLevelMismatch):
             veronese_rational(k)
+
+
+def test_veronese_level_limit():
+    assert len(veronese_rational(MAX_VERONESE_LEVEL)) == MAX_VERONESE_LEVEL + 1
+    with pytest.raises(LevelTooLarge) as err:
+        veronese_rational(MAX_VERONESE_LEVEL + 1)
+    assert isinstance(err.value, DegreeLevelMismatch)
 
 
 def test_veronese_all_degree_one():

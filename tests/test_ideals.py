@@ -329,3 +329,23 @@ def test_gcd_edge_cases_match_two_cofactor_euclid():
         for f, g in ((zero, zero), (zero, x), (x, zero), (two, x), (x, two),
                      (two, two), (x * x, x), (x, x * x), (x.scale(3), x)):
             assert gcd_univariate(f, g) == _two_cofactor_gcd(f, g)
+
+
+def test_gcd_makes_no_field_method_call(monkeypatch):
+    """The Euclid of gcd_univariate runs on the coefficient lists of upoly,
+    not through the field object."""
+    cases = []
+    for field in (QQ, PrimeField(7)):
+        x = univariate(field, [(Fraction(1, 2), 3), (2, 1), (0, 5)])
+        y = univariate(field, [(Fraction(3, 2), 2), (0, 1)])
+        cases.append((x * y, y * y))
+    want = [gcd_univariate(f, g) for f, g in cases]
+
+    def refuse(*args):
+        raise AssertionError("field method called")
+
+    for cls in (type(QQ), PrimeField):
+        for name in ("add", "sub", "mul", "inv"):
+            monkeypatch.setattr(cls, name, refuse)
+    for (f, g), expected in zip(cases, want):
+        assert gcd_univariate(f, g) == expected
