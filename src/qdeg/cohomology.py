@@ -8,9 +8,11 @@ X_I exactly when every variable with a negative exponent is inverted, so the
 summand's shape depends only on NEG(l) = {i : l_i < 0}, and after
 relabelling the variables only on |NEG|.  So the summands are counted per
 |NEG| by a dynamic program over the coordinates, and the cohomology of one
-complex per |NEG| is computed by exact rank (fraction-free over Q, modular
-over F_p) and cached.  h^0 and h^n come out as monomial counts; every middle
-spot vanishes, which the rank computation re-derives rather than assumes.
+complex per |NEG| is computed by exact sparse rank and cached.  h^0 and h^n
+come out as monomial counts; every middle spot vanishes, which the rank
+computation re-derives rather than assumes.  A column of a Cech
+differential has at most p + 2 nonzero entries, all +-1, so the d o d check
+multiplies nonzero entries only.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -19,10 +21,21 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, floor
 
-from .errors import DegreeLevelMismatch, MalformedComplex, NegativeDimension
+from .errors import (CohomologyTooLarge, DegreeLevelMismatch, MalformedComplex,
+                     NegativeDimension)
 from .fields import QQ
 from .linalg import matrix_rank
 from .poly import Monomial
+
+# The most free variables n + 1 - k of a Cech summand built for its rank; it
+# has 2^(n+1-k) subsets.  At the limit (n = 11, k = 0, or n = 12, k = 1) one
+# summand takes about 1.3 s and 36 MB, one more free variable 4.5 s and
+# 93 MB (Python 3.11, one core of a shared 2-core VM).
+MAX_FREE_VARIABLES = 12
+# The most monomials h0_basis or hn_basis lists.  At the limit, n = 3 takes
+# about 1.3 s in the library and 2.5 s through `qdeg cech --basis` (same
+# machine); the benchmark's largest basis has 969.
+MAX_BASIS_SIZE = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,18 +68,25 @@ class ChainComplex:
         for p, mat in enumerate(diffs):
             if len(mat) != dims[p + 1] or any(len(r) != dims[p] for r in mat):
                 raise MalformedComplex("differential %d has a wrong shape" % p)
+        char = self.coefficients.characteristic
         for p in range(len(diffs) - 1):
-            if not _is_zero_product(diffs[p + 1], diffs[p]):
+            if not _is_zero_product(diffs[p + 1], diffs[p], char):
                 raise MalformedComplex("d o d is nonzero at position %d" % p)
 
 
-def _is_zero_product(a, b):
-    if not a or not b or not b[0]:
-        return True
+def _is_zero_product(a, b, p):
+    """Whether the product a*b of two dense matrices is zero (mod p when p
+    is nonzero).  Each row of b is read once as its nonzero (column, value)
+    pairs, and each row of a accumulates only its nonzero products."""
+    b_rows = [[(c, x) for c, x in enumerate(row) if x] for row in b]
     for row in a:
-        for c in range(len(b[0])):
-            if sum(row[k] * b[k][c] for k in range(len(b))) != 0:
-                return False
+        acc = {}
+        for y, pairs in zip(row, b_rows):
+            if y:
+                for c, x in pairs:
+                    acc[c] = acc.get(c, 0) + y * x
+        if any(v % p if p else v for v in acc.values()):
+            return False
     return True
 
 
@@ -170,6 +190,16 @@ def _count_by_negatives(n, total, bound):
     return states.get(total, [0] * (n + 2))
 
 
+def _fewest_negatives(n, total, bound):
+    """The fewest negative entries of an integer vector in
+    [-bound, bound]^(n+1) that sums to total, or None if there is none."""
+    if total >= 0:
+        return 0 if total <= (n + 1) * bound else None
+    if bound > 0 and -total <= (n + 1) * bound:
+        return -(total // bound)
+    return None
+
+
 def twist_dims(n, m, level, box):
     """Cohomology dimensions of O(m) on P^n at denominator level D = level,
     summed over all multidegrees with |l_i| <= box.
@@ -178,7 +208,13 @@ def twist_dims(n, m, level, box):
     multidegree by multidegree, which the rank computation verifies."""
     m = _require_level(n, m, level)
     box = Fraction(box)
-    counts = _count_by_negatives(n, int(m * level), floor(box * level))
+    total, bound = int(m * level), floor(box * level)
+    k = _fewest_negatives(n, total, bound)
+    if k is not None and n + 1 - k > MAX_FREE_VARIABLES:
+        raise CohomologyTooLarge(
+            "a Cech summand with %d free variables is above the limit %d"
+            % (n + 1 - k, MAX_FREE_VARIABLES))
+    counts = _count_by_negatives(n, total, bound)
     h = [0] * (n + 1)
     for k, cnt in enumerate(counts):
         if cnt:
@@ -207,28 +243,28 @@ def _exponent_vectors(n, total, low, high):
     return out
 
 
+def _basis(n, level, count, total, low, high):
+    """The monomials with exponent vectors v/level, v in [low, high]^(n+1)
+    summing to total, once their count is checked against MAX_BASIS_SIZE."""
+    if count > MAX_BASIS_SIZE:
+        raise CohomologyTooLarge("a basis of %d monomials is above the limit %d"
+                                 % (count, MAX_BASIS_SIZE))
+    return [Monomial.make((i, Fraction(k, level)) for i, k in enumerate(v))
+            for v in sorted(_exponent_vectors(n, total, low, high))]
+
+
 def h0_basis(n, m, level):
     """Monomial basis of the global sections of O(m) at the given level:
     nonnegative exponents in (1/D)Z summing to m.  Count is C(Dm+n, n)."""
-    m = _require_level(n, m, level)
-    total = int(m * level)
-    if total < 0:
-        return []
-    vectors = _exponent_vectors(n, total, 0, total)
-    return [Monomial.make((i, Fraction(k, level)) for i, k in enumerate(v))
-            for v in sorted(vectors)]
+    total = int(_require_level(n, m, level) * level)
+    return _basis(n, level, h0_count(n, m, level), total, 0, total)
 
 
 def hn_basis(n, m, level):
     """Monomial basis of the top cohomology at the given level: strictly
     negative exponents summing to m.  Count is C(-Dm-1, n) when -Dm >= n+1."""
-    m = _require_level(n, m, level)
-    total = int(m * level)
-    if total > -(n + 1):
-        return []
-    vectors = _exponent_vectors(n, total, total, -1)
-    return [Monomial.make((i, Fraction(k, level)) for i, k in enumerate(v))
-            for v in sorted(vectors)]
+    total = int(_require_level(n, m, level) * level)
+    return _basis(n, level, hn_count(n, m, level), total, total, -1)
 
 
 def h0_count(n, m, level):

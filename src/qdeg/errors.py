@@ -81,6 +81,10 @@ class LevelTooLarge(DegreeLevelMismatch):
     """A level above the fixed limit of the operation."""
 
 
+class CohomologyTooLarge(QdegError):
+    """A Cech summand or a cohomology basis above the fixed size limit."""
+
+
 class NegativeDimension(QdegError):
     pass
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .charp import compose
 from .errors import (ConstantInput, DegreeLevelMismatch, EmptyInput,
                      FieldMismatch, LaurentNotFlattenable)
 from .poly import Monomial, QPolynomial
@@ -117,7 +118,7 @@ def noether_substitution(f):
             args.append(QPolynomial.variable(field, n, i)
                         + QPolynomial.variable(field, n, n - 1, exps[i]))
         args.append(last)
-        transformed = unflatten(fmap, g.substitute(args))
+        transformed = unflatten(fmap, compose(g, args))
 
     shifts = tuple(Fraction(e, fmap.orders[n - 1]) for e in
                    ([] if n == 1 else exps))

@@ -1,79 +1,52 @@
-"""Exact matrix rank.
+"""Exact matrix rank by one sparse elimination over Q and F_p.
 
-Over Q rows are cleared to integers and eliminated fraction-free (Bareiss),
-so no rational arithmetic happens inside the pivoting loop.  Over F_p plain
-Gaussian elimination with modular inverses is used.
+Each row is read once into a dict {column: value} of its nonzero entries,
+cleared of denominators over Q, so the loop runs on integers (residues mod
+p).  A sparsest pending row is the pivot row, as in Faugere & Lachartre
+(PASCO 2010).  Every row r with an entry f in the pivot column becomes
+a*r - b*pivot_row: over Q a/b = pivot/f in lowest terms and r is then
+divided by its content; over F_p a = pivot and b = f, mod p.
 """
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            mr = m[r]
-            top = m[rank]
-            factor = mr[col]
-            for c in range(col, ncols):
-                mr[c] = (mr[c] * pivot - factor * top[c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _fp_rank(rows, p):
-    m = [[x % p for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        for r in range(rank + 1, nrows):
-            factor = (m[r][col] * inv) % p
-            if factor:
-                for c in range(col, ncols):
-                    m[r][c] = (m[r][c] - factor * m[rank][c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _sparse_row(row, p):
+    """The nonzero entries of a row as {column: int}: residues mod p, or
+    over Q the entries times the lcm of their denominators."""
+    entries = {c: x for c, x in enumerate(row) if x}
+    if p:
+        return {c: x % p for c, x in entries.items() if x % p}
+    den = lcm(*(x.denominator for x in entries.values()))
+    return {c: x.numerator * (den // x.denominator)
+            for c, x in entries.items()}
 
 
 def matrix_rank(rows, field):
     """Exact rank of a matrix of field elements (list of rows)."""
-    if not rows or not rows[0]:
-        return 0
-    if field.characteristic == 0:
-        cleared = []
-        for row in rows:
-            den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-            cleared.append([int(Fraction(x) * den) for x in row])
-        return _bareiss_rank(cleared)
-    return _fp_rank(rows, field.characteristic)
+    p = field.characteristic
+    pending = [r for r in (_sparse_row(row, p) for row in rows) if r]
+    rank = 0
+    while pending:
+        pending.sort(key=len, reverse=True)
+        top = pending.pop()
+        col, pivot = next(iter(top.items()))
+        rank += 1
+        rest = []
+        for row in pending:
+            f = row.get(col)
+            if f:
+                g = 1 if p else gcd(pivot, f)
+                a, b = pivot // g, f // g
+                row = {c: a * x for c, x in row.items()}
+                for c, x in top.items():
+                    row[c] = row.get(c, 0) - b * x
+                if p:
+                    row = {c: x % p for c, x in row.items() if x % p}
+                else:
+                    g = gcd(*row.values())
+                    row = {c: x // g for c, x in row.items() if x}
+            if row:
+                rest.append(row)
+        pending = rest
+    return rank

@@ -273,23 +273,6 @@ class QPolynomial:
                              key=itemgetter(0))
         return mono, coeff
 
-    def substitute(self, args):
-        """Substitute args[i] for variable i.  Requires nonnegative integer
-        exponents on self (general fractional substitution lives in charp)."""
-        if len(args) != self.nvars:
-            raise FieldMismatch("expected %d substitution arguments" % self.nvars)
-        f = self.field
-        target_nvars = args[0].nvars if args else 0
-        out = QPolynomial.zero(f, target_nvars)
-        for mono, coeff in self.terms.items():
-            piece = QPolynomial.constant(f, target_nvars, coeff)
-            for i, e in mono.exps:
-                if e.denominator != 1 or e < 0:
-                    raise ValueError("substitute needs nonnegative integer exponents")
-                piece = piece * (args[i] ** int(e))
-            out = out + piece
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "QPolynomial(0)"

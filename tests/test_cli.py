@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -161,9 +163,8 @@ def test_tangent_fuzz_exit_codes(field, names, gens, point, json_flag):
        chart=st.one_of(st.integers(-3, 4).map(str), _GARBAGE),
        json_flag=st.booleans())
 def test_dehomog_fuzz_exit_codes(field, names, expr, chart, json_flag):
-    argv = ["dehomog", "--field", field, "--vars", names, "--chart=" + chart,
-            "--", expr]
-    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+    argv = ["dehomog", "--field", field, "--vars", names, "--chart=" + chart]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []) + ["--", expr])
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,17 +172,17 @@ def test_dehomog_fuzz_exit_codes(field, names, expr, chart, json_flag):
        json_flag=st.booleans())
 def test_parse_and_gcd_fuzz_exit_codes(field, names, exprs, json_flag):
     for command in ("parse", "gcd"):
-        argv = [command, "--field", field, "--vars", names, "--", *exprs]
-        _assert_clean_exit(argv + (["--json"] if json_flag else []))
+        argv = [command, "--field", field, "--vars", names]
+        _assert_clean_exit(argv + (["--json"] if json_flag else [])
+                           + ["--", *exprs])
 
 
 @settings(max_examples=80, deadline=None)
 @given(field=_FIELDS, names=_VARS, expr=_EXPRS, point=_POINTS,
        json_flag=st.booleans())
 def test_eval_fuzz_exit_codes(field, names, expr, point, json_flag):
-    argv = ["eval", "--field", field, "--vars", names, "--point=" + point,
-            "--", expr]
-    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+    argv = ["eval", "--field", field, "--vars", names, "--point=" + point]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []) + ["--", expr])
 
 
 @settings(max_examples=80, deadline=None)
@@ -225,8 +226,8 @@ _ROOTS_EXPRS = st.one_of(
 @given(field=st.one_of(_FIELDS, _LARGE_FIELDS), names=_VARS,
        expr=_ROOTS_EXPRS, json_flag=st.booleans())
 def test_roots_fuzz_exit_codes(field, names, expr, json_flag):
-    argv = ["roots", "--field", field, "--vars", names, "--", expr]
-    _assert_clean_exit(argv + (["--json"] if json_flag else []),
+    argv = ["roots", "--field", field, "--vars", names]
+    _assert_clean_exit(argv + (["--json"] if json_flag else []) + ["--", expr],
                        empty_ok=not json_flag)
 
 
@@ -235,8 +236,9 @@ def test_roots_fuzz_exit_codes(field, names, expr, json_flag):
        exprs=st.lists(_EXPRS, max_size=4), json_flag=st.booleans())
 def test_compose_fuzz_exit_codes(field, names, outer, exprs, json_flag):
     argv = ["compose", "--field", field, "--vars", names,
-            "--outer-vars=" + outer, "--", *exprs]
-    _assert_clean_exit(argv + (["--json"] if json_flag else []))
+            "--outer-vars=" + outer]
+    _assert_clean_exit(argv + (["--json"] if json_flag else [])
+                       + ["--", *exprs])
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,6 +258,85 @@ _DIM_LISTS = st.one_of(
 def test_kunneth_fuzz_exit_codes(a, b, json_flag):
     _assert_clean_exit(["kunneth", "--a=" + a, "--b=" + b]
                        + (["--json"] if json_flag else []))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_FIELDS, names=_VARS, gens=st.lists(_EXPRS, max_size=3),
+       expr=_EXPRS, json_flag=st.booleans())
+def test_groebner_and_member_and_proper_fuzz_exit_codes(field, names, gens,
+                                                        expr, json_flag):
+    common = ["--field", field, "--vars", names] + (
+        ["--json"] if json_flag else [])
+    ideal = [arg for g in gens for arg in ("--ideal", g)]
+    _assert_clean_exit(["groebner", *common, "--", *gens])
+    _assert_clean_exit(["member", *common, *ideal, "--", expr])
+    _assert_clean_exit(["proper", *common, *ideal])
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_FIELDS, names=_VARS, expr=_EXPRS,
+       degree=_fraction_text((-4, 6), (1, 3)),
+       new_var=st.sampled_from(["h", "w", "x", "", "1"]),
+       at=st.one_of(st.none(), st.integers(-1, 3).map(str), _GARBAGE),
+       json_flag=st.booleans())
+def test_components_and_homog_fuzz_exit_codes(field, names, expr, degree,
+                                              new_var, at, json_flag):
+    common = ["--field", field, "--vars", names] + (
+        ["--json"] if json_flag else [])
+    # the zero polynomial has no components to print
+    _assert_clean_exit(["components", *common, "--", expr],
+                       empty_ok=not json_flag)
+    at = [] if at is None else ["--at=" + at]
+    _assert_clean_exit(["homog", *common, "--degree=" + degree,
+                        "--new-var=" + new_var, *at, "--", expr])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.one_of(st.sampled_from(["2", "3", "5"]),
+                   st.integers(-3, 12).map(str), _GARBAGE),
+       names=_VARS, expr=_EXPRS, json_flag=st.booleans())
+def test_proot_fuzz_exit_codes(p, names, expr, json_flag):
+    _assert_clean_exit(["proot", "--p=" + p, "--vars", names]
+                       + (["--json"] if json_flag else []) + ["--", expr])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), field=_FIELDS, names=_VARS, outer=_VARS, g=_EXPRS,
+       json_flag=st.booleans())
+def test_pullback_fuzz_exit_codes(data, field, names, outer, g, json_flag):
+    # often one component per outer variable, so that some maps apply
+    arity = len([v for v in outer.split(",") if v.strip()])
+    count = data.draw(st.one_of(st.just(arity), st.integers(0, 4)))
+    components = data.draw(st.lists(_EXPRS, min_size=count, max_size=count))
+    _assert_clean_exit(["pullback", "--field", field, "--vars", names,
+                        "--outer-vars=" + outer]
+                       + (["--json"] if json_flag else [])
+                       + ["--", g, *components])
+
+
+# Subcommands without a fuzz test, and why.
+_NOT_FUZZED = {
+    "flatten": "ends in an AttributeError traceback: cli.flatten is bound "
+               "to the function, not to the module",
+    "noether": "ends in the same AttributeError traceback as flatten",
+    "radical-member": "runs for 10 s to over 40 s on tiny random inputs",
+}
+
+
+def test_every_subcommand_is_fuzzed():
+    # a test named test_<a>_and_<b>_fuzz_exit_codes fuzzes a and b
+    fuzzed = set()
+    for name in globals():
+        match = re.fullmatch(r"test_(\w+)_fuzz_exit_codes", name)
+        if match:
+            fuzzed.update(match.group(1).split("_and_"))
+    subs, = (a for a in cli_module.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction))
+    commands = {c.replace("-", "_") for c in subs.choices}
+    excluded = {c.replace("-", "_") for c in _NOT_FUZZED}
+    assert excluded <= commands
+    assert commands - excluded == commands & fuzzed
+    assert not excluded & fuzzed
 
 
 def test_embed_and_kunneth_parameter_errors(cli):
@@ -353,6 +434,16 @@ def test_roots_and_variety_answer_at_once(cli):
         code, out, err = cli(*argv)
         assert perf_counter() - start < 1.0
         assert (code, out, err) == (0, want, "")
+
+
+def test_cech_size_limits(cli):
+    for argv in (("--n", "200", "--deg", "5", "--den", "1", "--box", "5"),
+                 ("--n", "3", "--deg", "1000", "--den", "1", "--box", "1",
+                  "--basis", "h0")):
+        start = perf_counter()
+        code, out, err = cli("cech", *argv)
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (1, "") and err.startswith("CohomologyTooLarge:")
 
 
 def test_variety_scan_limit(cli):

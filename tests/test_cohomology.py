@@ -1,16 +1,19 @@
 from fractions import Fraction
 from itertools import product
 from math import comb
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdeg.cohomology import (ChainComplex, CohomologyDims, MultiDegree,
-                             _count_by_negatives, complex_cohomology_dims,
-                             h0_basis, h0_count,
+from qdeg.cohomology import (MAX_BASIS_SIZE, MAX_FREE_VARIABLES,
+                             ChainComplex, CohomologyDims, MultiDegree,
+                             _count_by_negatives, _fewest_negatives,
+                             complex_cohomology_dims, h0_basis, h0_count,
                              hn_basis, hn_count, kunneth_dims,
                              multidegree_complex, twist_dims)
-from qdeg.errors import (DegreeLevelMismatch, MalformedComplex,
-                         NegativeDimension)
+from qdeg.errors import (CohomologyTooLarge, DegreeLevelMismatch,
+                         MalformedComplex, NegativeDimension)
 from qdeg.fields import QQ, PrimeField
 from qdeg.poly import Monomial
 
@@ -231,3 +234,61 @@ def test_box_below_one_level_step_is_empty():
 def test_multidegree_complex_over_prime_field():
     c = multidegree_complex(md(-1, -1, 2), coefficients=PrimeField(5))
     assert complex_cohomology_dims(c) == [0, 0, 0]
+    # d o d vanishes mod p, not as an integer sum of residues
+    for n in (1, 2, 3):
+        for signs in product((-1, 1), repeat=n + 1):
+            l = MultiDegree(tuple(Fraction(s) for s in signs))
+            over_q = complex_cohomology_dims(multidegree_complex(l))
+            for p in (2, 5):
+                c = multidegree_complex(l, coefficients=PrimeField(p))
+                assert complex_cohomology_dims(c) == over_q
+
+
+def test_fewest_negatives_matches_counts():
+    for n in range(4):
+        for bound in range(-1, 5):
+            for total in range(-(n + 1) * 5, (n + 1) * 5 + 1):
+                counts = _count_by_negatives(n, total, bound)
+                want = next((k for k, c in enumerate(counts) if c), None)
+                assert _fewest_negatives(n, total, bound) == want
+
+
+def test_complex_size_limit():
+    # only the zero vector: one summand with every variable free
+    n = MAX_FREE_VARIABLES - 1
+    assert twist_dims(n, 0, 1, 0).h == (1,) + (0,) * n
+    with pytest.raises(CohomologyTooLarge):
+        twist_dims(n + 1, 0, 1, 0)
+    # one negative entry frees one variable fewer
+    assert twist_dims(n + 1, -1, 1, Fraction(1, 2)).h == (0,) * (n + 2)
+    start = perf_counter()
+    with pytest.raises(CohomologyTooLarge):
+        twist_dims(200, 5, 1, 5)
+    assert perf_counter() - start < 1.0
+
+
+def test_basis_size_limit():
+    # on P^1 the counts are Dm + 1 and -Dm - 1
+    m = MAX_BASIS_SIZE - 1
+    assert len(h0_basis(1, m, 1)) == h0_count(1, m, 1) == MAX_BASIS_SIZE
+    assert len(hn_basis(1, -m - 2, 1)) == MAX_BASIS_SIZE
+    for fn, m in ((h0_basis, m + 1), (hn_basis, -m - 3)):
+        with pytest.raises(CohomologyTooLarge):
+            fn(1, m, 1)
+    start = perf_counter()
+    with pytest.raises(CohomologyTooLarge):
+        h0_basis(3, 1000, 1)
+    assert perf_counter() - start < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), level=st.integers(1, 3), num=st.integers(-12, 8))
+def test_serre_duality_at_level(n, level, num):
+    # h^n(O(m)) = h^0(O(-m - (n+1)/D)): the canonical twist at level D
+    m = Fraction(num, level)
+    dual = -m - Fraction(n + 1, level)
+    assert hn_count(n, m, level) == h0_count(n, dual, level)
+    if n:  # on P^0 the one spot holds h^0 and h^n together
+        box = max(abs(m), abs(dual))
+        assert twist_dims(n, m, level, box).h[n] == \
+            twist_dims(n, dual, level, box).h[0] == hn_count(n, m, level)
