@@ -12,9 +12,16 @@ not a missing feature.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from random import Random
 
+from . import upoly
 from .errors import CompositionNotPolynomial, FieldMismatch, NotPrimeField
 from .poly import QPolynomial
+
+# The largest g = gcd(b, p - 1) whose b-th roots over F_p come from the root
+# finder, about 0.14 s at p = 998244353; above it a scan takes ~p/g steps.
+MAX_ROOT_FINDER_DEGREE = 128
 
 
 def p_th_root(f):
@@ -56,10 +63,16 @@ def _coefficient_root(field, c, b):
             return None
         return Fraction(-num if c < 0 else num, den)
     p = field.characteristic
-    for r in range(p):
-        if pow(r, b, p) == c % p:
-            return r
-    return None
+    if not c % p:
+        return 0
+    g = gcd(b, p - 1)
+    if pow(c, (p - 1) // g, p) != 1:  # not a g-th power, so not a b-th one
+        return None
+    if g > MAX_ROOT_FINDER_DEGREE:
+        return next(r for r in range(p) if pow(r, b, p) == c % p)
+    # y -> y^(b/g) permutes the g-th powers, so x^b = c iff x^g = c^u
+    u = pow(b // g, -1, (p - 1) // g)
+    return upoly.roots([-pow(c, u, p)] + [0] * (g - 1) + [1], p, Random(0))[0]
 
 
 def fractional_power(g, q):
@@ -88,16 +101,13 @@ def fractional_power(g, q):
     if not p:
         raise CompositionNotPolynomial(
             "fractional power of a sum in characteristic zero")
-    k = 0
-    b_left = b
-    while b_left % p == 0:
-        b_left //= p
-        k += 1
-    if b_left != 1:
+    left = b  # one p-th root per factor p of b
+    while left % p == 0:
+        left //= p
+        g = p_th_root(g)
+    if left != 1:
         raise CompositionNotPolynomial(
             "denominator %d is not a power of the characteristic %d" % (b, p))
-    for _ in range(k):
-        g = p_th_root(g)
     return g ** q.numerator
 
 

@@ -7,7 +7,7 @@ l = (l_0,...,l_n) with sum m.  The monomial X^l lies in the localization at
 X_I exactly when every variable with a negative exponent is inverted, so the
 summand's shape depends only on NEG(l) = {i : l_i < 0}, and after
 relabelling the variables only on |NEG|.  So the summands are counted per
-|NEG| by a dynamic program over the coordinates, and the cohomology of one
+|NEG| in closed form, by inclusion-exclusion, and the cohomology of one
 complex per |NEG| is computed by exact sparse rank and cached.  h^0 and h^n
 come out as monomial counts; every middle spot vanishes, which the rank
 computation re-derives rather than assumes.  A column of a Cech
@@ -43,10 +43,6 @@ class MultiDegree:
     """Exponent vector l_0..l_n with common denominator dividing the level."""
 
     parts: tuple
-
-    @property
-    def total(self):
-        return sum(self.parts, Fraction(0))
 
     def negatives(self):
         return frozenset(i for i, l in enumerate(self.parts) if l < 0)
@@ -173,53 +169,47 @@ def _require_level(n, m, level):
     return m
 
 
-def _count_by_negatives(n, total, bound):
-    """counts[k] = number of integer vectors in [-bound, bound]^(n+1) that
-    sum to total and have exactly k negative entries (0 <= k <= n+1)."""
-    states = {0: [1] + [0] * (n + 1)}  # partial sum -> counts by negatives
-    for left in range(n, -1, -1):  # coordinates after this one
-        step = {}
-        for s, by_neg in states.items():
-            for v in range(-bound, bound + 1):
-                if abs(total - s - v) > bound * left:
-                    continue
-                row = step.setdefault(s + v, [0] * (n + 2))
-                for k in range(n + 1 - left):
-                    row[k + (v < 0)] += by_neg[k]
-        states = step
-    return states.get(total, [0] * (n + 2))
-
-
-def _fewest_negatives(n, total, bound):
-    """The fewest negative entries of an integer vector in
-    [-bound, bound]^(n+1) that sums to total, or None if there is none."""
-    if total >= 0:
-        return 0 if total <= (n + 1) * bound else None
-    if bound > 0 and -total <= (n + 1) * bound:
-        return -(total // bound)
-    return None
+def _count_with_negatives(n, total, bound, k):
+    """The number of integer vectors in [-bound, bound]^(n+1), bound >= 0,
+    that sum to total and have exactly k negative entries.  Shifting each
+    negative entry by B = bound leaves r = n+1-k entries in [0, B] and k in
+    [0, B-1] summing to T = total + kB; inclusion-exclusion over the upper
+    bounds (Stanley, Enumerative Combinatorics I, ch. 2) counts those as
+    sum (-1)^(i+j) C(r, i) C(k, j) S(T - i(B+1) - jB), S(s) = C(s+n, n)."""
+    r, top, acc = n + 1 - k, total + k * bound, 0
+    for i in range(min(r, top // (bound + 1)) + 1):  # top - i(B+1) >= 0
+        for j in range(k + 1):
+            s = top - i * (bound + 1) - j * bound
+            if s < 0:
+                break
+            acc += (-1) ** (i + j) * comb(r, i) * comb(k, j) * comb(s + n, n)
+    return comb(n + 1, k) * acc
 
 
 def twist_dims(n, m, level, box):
     """Cohomology dimensions of O(m) on P^n at denominator level D = level,
     summed over all multidegrees with |l_i| <= box.
 
-    With box >= |m| the h^0 and h^n sums are complete; middle spots vanish
-    multidegree by multidegree, which the rank computation verifies."""
+    The multidegrees are counted per number k of negative entries.  Their
+    sums fill [-k*bound, (n+1)*bound - k], so the first k whose range holds
+    the total gives the most free variables n + 1 - k, and the size limit
+    raises there, before anything is counted or built.  With box >= |m| the
+    h^0 and h^n sums are complete; middle spots vanish multidegree by
+    multidegree, which the rank computation verifies."""
     m = _require_level(n, m, level)
     box = Fraction(box)
     total, bound = int(m * level), floor(box * level)
-    k = _fewest_negatives(n, total, bound)
-    if k is not None and n + 1 - k > MAX_FREE_VARIABLES:
-        raise CohomologyTooLarge(
-            "a Cech summand with %d free variables is above the limit %d"
-            % (n + 1 - k, MAX_FREE_VARIABLES))
-    counts = _count_by_negatives(n, total, bound)
     h = [0] * (n + 1)
-    for k, cnt in enumerate(counts):
-        if cnt:
-            for p, d in enumerate(_pattern_dims(n, k)):
-                h[p] += d * cnt
+    for k in range(n + 2):
+        if not -k * bound <= total <= (n + 1) * bound - k:
+            continue  # no multidegree has k negatives
+        if n + 1 - k > MAX_FREE_VARIABLES:
+            raise CohomologyTooLarge(
+                "a Cech summand with %d free variables is above the limit %d"
+                % (n + 1 - k, MAX_FREE_VARIABLES))
+        count = _count_with_negatives(n, total, bound, k)
+        for p, d in enumerate(_pattern_dims(n, k)):
+            h[p] += d * count
     return CohomologyDims(tuple(h), n, m, level, box)
 
 

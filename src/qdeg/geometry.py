@@ -7,18 +7,15 @@ ever happens.  The integer powers aL/b are worked out once per polynomial
 and order, so a variety scan converts each generator once, not once per
 point.
 
-Zeros come from one root finder over F_p (von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 14): x^p mod f by square-and-multiply gives
-gcd(f, x^p - x), the product of the distinct linear factors of f, and
-equal-degree splitting by gcd(g, (x + a)^((p-1)/2) - 1), with a drawn from
-a fixed-seed generator, separates them.  Over Q the rational zeros of the
+Zeros over F_p come from upoly.roots.  Over Q the rational zeros of the
 square-free part h come from its zeros modulo a prime that divides neither
 the leading coefficient nor the discriminant: each is Hensel-lifted past
-2|a_0||a_n|, rationally reconstructed and checked exactly (ch. 15 and
-5.10).  A variety over F_p is scanned on the first n - 1 roots only: every
-generator specialises to a univariate in the last root, and the root finder
-solves the gcd of the specialisations.  A scan over more than
-MAX_SCAN_PREFIXES root prefixes raises ScanTooLarge instead of running.
+2|a_0||a_n|, rationally reconstructed and checked exactly (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 15 and 5.10).  A variety over F_p is
+scanned on the first n - 1 roots only: every generator specialises to a
+univariate in the last root, and the root finder solves the gcd of the
+specialisations.  A scan over more than MAX_SCAN_PREFIXES root prefixes
+raises ScanTooLarge instead of running.
 """
 
 from dataclasses import dataclass
@@ -116,46 +113,6 @@ def _fold(e, p):
     return e if e < p else (e - 1) % (p - 1) + 1
 
 
-def _fp_roots(f, p, rng):
-    """The distinct zeros in F_p, ascending, of the polynomial with int
-    coefficients f (constant term first); all of F_p when f is zero mod p.
-    The splitting draws from rng; the zeros do not depend on it."""
-    f = upoly.trim([c % p for c in f])
-    if not f:
-        return list(range(p))
-    roots = []
-    if not f[0]:
-        roots.append(0)
-        f = f[next(i for i, c in enumerate(f) if c):]
-    f = upoly.monic(f, p)
-    if len(f) > 2:
-        xp = upoly.powmod(0, p, f, p) + [0, 0]
-        xp[1] -= 1
-        f = upoly.gcd(f, xp, p)
-    _split(f, p, rng, roots)
-    return sorted(roots)
-
-
-def _split(g, p, rng, roots):
-    """Append the zeros of g, a monic product of distinct linear factors
-    with g(0) != 0, by equal-degree splitting.  Over F_2 such a g has degree
-    at most 1, so p is odd whenever a split is needed."""
-    if len(g) == 2:
-        roots.append(-g[0] % p)
-    if len(g) <= 2:
-        return
-    while True:
-        w = upoly.powmod(rng.randrange(p), (p - 1) // 2, g, p)
-        w[0] -= 1
-        d = upoly.gcd(g, w, p)
-        if 1 < len(d) < len(g):
-            break
-    rest = list(g)
-    upoly.divide(rest, d, p)
-    _split(d, p, rng, roots)
-    _split(rest[len(d) - 1:], p, rng, roots)
-
-
 # ---------------------------------------------------------------------------
 # rational zeros by lifting zeros modulo a prime
 
@@ -205,7 +162,7 @@ def _rational_roots(f):
              if is_prime(q) and h[-1] % q and len(upoly.gcd(h, dh, q)) == 1)
     # a zero a/b has a | a_0 and b | a_n
     bound = 2 * abs(h[0]) * abs(h[-1])
-    for r in _fp_roots(h, p, Random(0)):
+    for r in upoly.roots(h, p, Random(0)):
         m = p
         while m <= bound:
             m *= m
@@ -235,7 +192,7 @@ def roots_univariate(f):
         dense = [0] * min(max(e for e, _ in exps) + 1, p)
         for e, c in exps:
             dense[_fold(e, p)] += c
-        return sorted({pow(a, L, p) for a in _fp_roots(dense, p, Random(0))})
+        return sorted({pow(a, L, p) for a in upoly.roots(dense, p, Random(0))})
     dense = [0] * (max(e for e, _ in exps) + 1)
     den = lcm(*(c.denominator for _, c in exps))
     for e, c in exps:
@@ -294,7 +251,7 @@ def variety_bruteforce(gens, order):
         for split, poles, pole_at_zero, size in specs:
             if poles and any(not prefix[i] for i in poles):
                 # a pole at every root vector over this prefix
-                if common is None or _fp_roots(common, p, rng):
+                if common is None or upoly.roots(common, p, rng):
                     raise PoleAtPoint("negative power of a zero coordinate")
                 common = [1]
                 break
@@ -313,7 +270,7 @@ def variety_bruteforce(gens, order):
                 if len(common) == 1:
                     break
         for u in (range(p) if common is None
-                  else _fp_roots(common, p, rng)):
+                  else upoly.roots(common, p, rng)):
             roots = prefix + (u,)
             coords = tuple(pow(x, order, p) for x in roots)
             if coords not in seen:

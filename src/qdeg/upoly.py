@@ -8,7 +8,8 @@ from mul, return least residues.
 
 Euclid runs on monic remainders, so division is only ever by a monic
 divisor, in place (von zur Gathen & Gerhard, Modern Computer Algebra, 2.4
-and 3.2).
+and 3.2).  Zeros over F_p come from gcd(f, x^p - x) and equal-degree
+splitting by gcd(g, (x + a)^((p-1)/2) - 1), with random a (ch. 14).
 """
 
 from fractions import Fraction
@@ -120,3 +121,43 @@ def powmod(a, e, m, p):
             result = divide([a * c + d for c, d in
                              zip(result + [0], [0] + result)], m, p)
     return result
+
+
+def roots(f, p, rng):
+    """The distinct zeros in F_p, ascending, of the polynomial with int
+    coefficients f (constant term first); all of F_p when f is zero mod p.
+    The splitting draws from rng; the zeros do not depend on it."""
+    f = trim([c % p for c in f])
+    if not f:
+        return list(range(p))
+    out = []
+    if not f[0]:
+        out.append(0)
+        f = f[next(i for i, c in enumerate(f) if c):]
+    f = monic(f, p)
+    if len(f) > 2:
+        xp = powmod(0, p, f, p) + [0, 0]
+        xp[1] -= 1
+        f = gcd(f, xp, p)
+    _split(f, p, rng, out)
+    return sorted(out)
+
+
+def _split(g, p, rng, out):
+    """Append the zeros of g, a monic product of distinct linear factors
+    with g(0) != 0, by equal-degree splitting.  Over F_2 such a g has degree
+    at most 1, so p is odd whenever a split is needed."""
+    if len(g) == 2:
+        out.append(-g[0] % p)
+    if len(g) <= 2:
+        return
+    while True:
+        w = powmod(rng.randrange(p), (p - 1) // 2, g, p)
+        w[0] -= 1
+        d = gcd(g, w, p)
+        if 1 < len(d) < len(g):
+            break
+    rest = list(g)
+    divide(rest, d, p)
+    _split(d, p, rng, out)
+    _split(rest[len(d) - 1:], p, rng, out)

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from helpers import qq_poly, random_poly
-from qdeg.charp import (PolynomialMap, compose, compose_maps,
+from qdeg.charp import (MAX_ROOT_FINDER_DEGREE, PolynomialMap,
+                        _coefficient_root, compose, compose_maps,
                         fractional_power, map_from_images, p_th_root,
                         pullback)
 from qdeg.errors import CompositionNotPolynomial, FieldMismatch, NotPrimeField
-from qdeg.fields import QQ, PrimeField
+from qdeg.fields import QQ, PrimeField, is_prime
 from qdeg.parser import parse
 from qdeg.poly import QPolynomial
 
@@ -73,6 +75,22 @@ def test_fractional_power_of_huge_coefficients():
         with pytest.raises(CompositionNotPolynomial):
             fractional_power(QPolynomial.constant(QQ, 1, not_a_square),
                              Fraction(1, 2))
+
+
+def test_coefficient_root_is_the_least_root_over_fp():
+    # the oracle scans the residues in order and keeps the first root of
+    # each value; the last cases pass the root finder's limit, so there
+    # _coefficient_root scans too
+    scanned = [(p, b) for p in (257, 263) for b in (p - 1, 2 * (p - 1))]
+    assert all(gcd(b, p - 1) > MAX_ROOT_FINDER_DEGREE for p, b in scanned)
+    for p, b in [(p, b) for p in range(2, 200) if is_prime(p)
+                 for b in range(1, 13)] + scanned:
+        least = {}
+        for r in range(p):
+            least.setdefault(pow(r, b, p), r)
+        field = PrimeField(p)
+        for c in range(p):
+            assert _coefficient_root(field, c, b) == least.get(c), (p, b, c)
 
 
 def test_fractional_power_sum_needs_char_p():

@@ -123,9 +123,9 @@ def _assert_clean_exit(argv, empty_ok=False):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.one_of(st.integers(-2, 3).map(str), _GARBAGE),
-       deg=_fraction_text((-4, 4), (-1, 3)),
+       deg=_fraction_text((-10 ** 6, 10 ** 6), (-1, 3)),
        den=st.one_of(st.integers(-2, 4).map(str), _GARBAGE),
-       box=_fraction_text((-3, 4), (-1, 3)),
+       box=_fraction_text((-10 ** 6, 10 ** 6), (-1, 3)),
        extra=st.sampled_from([(), ("--json",), ("--basis", "h0"),
                               ("--basis", "hn")]))
 def test_cech_fuzz_exit_codes(n, deg, den, box, extra):
@@ -444,6 +444,28 @@ def test_cech_size_limits(cli):
         code, out, err = cli("cech", *argv)
         assert perf_counter() - start < 1.0
         assert (code, out) == (1, "") and err.startswith("CohomologyTooLarge:")
+
+
+def test_cech_at_large_degree_answers_at_once(cli):
+    start = perf_counter()
+    code, out, err = cli("cech", "--n", "3", "--deg", "100000", "--den", "1",
+                         "--box", "100000")
+    assert perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "h: 166676666850001,0,0,0\n", "")
+
+
+def test_fp_coefficient_roots_answer_at_once(cli):
+    # a square root mod 10^9 + 7, and non-residues mod 10^7 + 19 and
+    # 10^9 + 7, which a scan of the residues takes seconds to rule out
+    for field, expr, want in (
+            ("fp:1000000007", "(3*x)^(1/2)", (0, "82062379*x^(1/2)\n")),
+            ("fp:10000019", "(2*x)^(1/2)", (1, "")),
+            ("fp:1000000007", "(5*x)^(1/2)", (1, ""))):
+        start = perf_counter()
+        code, out, err = cli("parse", "--field", field, "--vars", "x", expr)
+        assert perf_counter() - start < 1.0
+        assert (code, out) == want
+        assert code == 0 or err.startswith("CompositionNotPolynomial:")
 
 
 def test_variety_scan_limit(cli):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdeg.cohomology import (MAX_BASIS_SIZE, MAX_FREE_VARIABLES,
                              ChainComplex, CohomologyDims, MultiDegree,
-                             _count_by_negatives, _fewest_negatives,
+                             _count_with_negatives,
                              complex_cohomology_dims, h0_basis, h0_count,
                              hn_basis, hn_count, kunneth_dims,
                              multidegree_complex, twist_dims)
@@ -180,8 +180,46 @@ def test_count_by_negatives_matches_brute_force():
             brute = _brute_counts(n, bound)
             edge = (n + 1) * bound
             for total in range(-edge - 2, edge + 3):  # inside and beyond
-                assert _count_by_negatives(n, total, bound) == \
-                    brute.get(total, [0] * (n + 2)), (n, total, bound)
+                counts = [_count_with_negatives(n, total, bound, k)
+                          for k in range(n + 2)]
+                assert counts == brute.get(total, [0] * (n + 2)), \
+                    (n, total, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 3), bound=st.integers(0, 4),
+       total=st.integers(-30, 30))
+def test_count_with_negatives_matches_brute_force_beyond_the_box(
+        n, bound, total):
+    brute = _brute_counts(n, bound).get(total, [0] * (n + 2))
+    assert [_count_with_negatives(n, total, bound, k)
+            for k in range(n + 2)] == brute
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30), bound=st.integers(0, 10 ** 4))
+def test_counts_sum_to_the_vectors_in_the_box(data, n, bound):
+    # shifting every entry by bound: vectors in [0, 2B]^(n+1) summing to
+    # total + (n+1)B, by inclusion-exclusion over the n+1 upper bounds
+    edge = (n + 1) * bound
+    total = data.draw(st.integers(-edge - 3, edge + 3))
+
+    def free(s):
+        return comb(s + n, n) if s >= 0 else 0
+
+    want = sum((-1) ** i * comb(n + 1, i)
+               * free(total + edge - i * (2 * bound + 1)) for i in range(n + 2))
+    assert sum(_count_with_negatives(n, total, bound, k)
+               for k in range(n + 2)) == want
+
+
+def test_twist_dims_at_large_degree_and_dimension():
+    start = perf_counter()
+    assert twist_dims(3, 100000, 1, 100000).h == (166676666850001, 0, 0, 0)
+    assert perf_counter() - start < 1.0
+    start = perf_counter()
+    assert twist_dims(200, 100000, 1, 1).h == (0,) * 201
+    assert perf_counter() - start < 1.0
 
 
 def test_twist_dims_matches_brute_force_at_levels():
@@ -242,15 +280,6 @@ def test_multidegree_complex_over_prime_field():
             for p in (2, 5):
                 c = multidegree_complex(l, coefficients=PrimeField(p))
                 assert complex_cohomology_dims(c) == over_q
-
-
-def test_fewest_negatives_matches_counts():
-    for n in range(4):
-        for bound in range(-1, 5):
-            for total in range(-(n + 1) * 5, (n + 1) * 5 + 1):
-                counts = _count_by_negatives(n, total, bound)
-                want = next((k for k, c in enumerate(counts) if c), None)
-                assert _fewest_negatives(n, total, bound) == want
 
 
 def test_complex_size_limit():

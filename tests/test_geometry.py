@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import qq_poly, random_poly
+from qdeg import upoly
 from qdeg.errors import (NotUnivariate, PoleAtPoint, PointNotOnVariety,
                          RootOrderMismatch, ZeroPolynomial)
 from qdeg.fields import QQ, PrimeField
 from qdeg.flatten import flatten
-from qdeg.geometry import (PointWithRoots, _fp_roots, evaluate, jacobian,
+from qdeg.geometry import (PointWithRoots, evaluate, jacobian,
                            partial_derivative, roots_univariate,
                            tangent_space, variety_bruteforce)
 from qdeg.ideals import IdealPresentation
@@ -130,7 +131,7 @@ def test_fp_root_finder_matches_brute_force(case, seed):
     p, f = case
     brute = [a for a in range(p)
              if sum(c * pow(a, i, p) for i, c in enumerate(f)) % p == 0]
-    assert _fp_roots(f, p, random.Random(seed)) == brute
+    assert upoly.roots(f, p, random.Random(seed)) == brute
 
 
 def _oracle_rational_roots(f):
