@@ -98,28 +98,24 @@ class CohomologyDims:
 def _subsets_with(n, size, required):
     """Sorted (size)-subsets of {0..n} containing the required set."""
     rest = [i for i in range(n + 1) if i not in required]
-    need = size - len(required)
-    if need < 0:
-        return []
-    out = []
-    for extra in combinations(rest, need):
-        out.append(tuple(sorted(set(extra) | set(required))))
-    out.sort()
-    return out
+    return sorted(tuple(sorted(required.union(extra)))
+                  for extra in combinations(rest, size - len(required)))
 
 
 def complex_for_pattern(n, negatives, coefficients=QQ):
     """The multidegree summand of the Cech complex for P^n, as determined by
-    the set of negative-exponent variables."""
+    the set of negative-exponent variables.  Spot p holds the (p+1)-subsets
+    that contain every negative variable, so it is empty for p + 1 < |neg|."""
     negatives = frozenset(negatives)
-    spots = [_subsets_with(n, p + 1, negatives) for p in range(n + 1)]
+    spots = [_subsets_with(n, p + 1, negatives) if p + 1 >= len(negatives)
+             else [] for p in range(n + 1)]
     dims = tuple(len(s) for s in spots)
     one, zero = coefficients.one, coefficients.zero
     diffs = []
     for p in range(n):
         index = {sub: k for k, sub in enumerate(spots[p])}
         mat = [[zero] * dims[p] for _ in range(dims[p + 1])]
-        for row, target in enumerate(spots[p + 1]):
+        for row, target in enumerate(spots[p + 1] if index else ()):
             for t in range(len(target)):
                 source = target[:t] + target[t + 1:]
                 col = index.get(source)

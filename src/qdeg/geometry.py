@@ -124,15 +124,15 @@ def _value(f, x):
 
 
 def _squarefree_part(f):
-    """Primitive integer form of f / gcd(f, f') for an integer f."""
-    d = upoly.gcd(f, [i * c for i, c in enumerate(f)][1:], 0)
-    q = list(f)
-    upoly.divide(q, d, 0)
-    q = q[len(d) - 1:]
-    den = lcm(*(c.denominator for c in q))
-    ints = [int(c * den) for c in q]
-    content = gcd(*ints)
-    return [c // content for c in ints]
+    """Primitive integer form of f / gcd(f, f') for an integer f.  The gcd
+    over Z made primitive divides f over Z (Gauss's lemma)."""
+    d = upoly.prs(f, [i * c for i, c in enumerate(f)][1:], [], [])[0]
+    k = gcd(*d) if d[-1] > 0 else -gcd(*d)
+    q, rest = upoly.quo_rem(f, [c // k for c in d])
+    if rest:
+        raise ArithmeticError("gcd(f, f') does not divide f")
+    content = gcd(*q)
+    return [c // content for c in q]
 
 
 def _reconstruct(r, m, num_bound):

@@ -6,13 +6,14 @@ over F_p (p > 0) the coefficients are int residues, over Q (p = 0) they are
 Fractions or ints.  Over F_p the functions accept unreduced ints and, apart
 from mul, return least residues.
 
-Euclid runs on monic remainders, so division is only ever by a monic
-divisor, in place (von zur Gathen & Gerhard, Modern Computer Algebra, 2.4
-and 3.2).  Zeros over F_p come from gcd(f, x^p - x) and equal-degree
-splitting by gcd(g, (x + a)^((p-1)/2) - 1), with random a (ch. 14).
+Euclid runs on monic remainders over F_p (von zur Gathen & Gerhard, Modern
+Computer Algebra, 2.4, 3.2), over Q as the subresultant PRS on ints (Collins
+1967; Knuth, TAOCP 2, 4.6.1 C), making Fractions only at the end.  Zeros over
+F_p (ch. 14): gcd(f, x^p - x), split by gcd(g, (x+a)^((p-1)/2) - 1), random a.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def trim(a):
@@ -20,14 +21,6 @@ def trim(a):
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _inv(c, p):
-    return pow(c, -1, p) if p else 1 / Fraction(c)
-
-
-def _scale(a, c, p):
-    return [x * c % p for x in a] if p else [x * c for x in a]
 
 
 def monic(a, p):
@@ -70,10 +63,37 @@ def sub(a, b, p):
     return trim([c % p for c in out] if p else out)
 
 
+def quo_rem(a, b):
+    """(q, r) with a = q*b + r over Z (b != []); q must be integral."""
+    a, n = list(a), len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        a[top], rest = divmod(a[top], b[-1])
+        if rest:
+            raise ArithmeticError("quo_rem: the quotient is not integral")
+        a[top - n:top] = [x - a[top] * y for x, y in zip(a[top - n:top], b)]
+    return a[n:], trim(a[:n])
+
+
+def prs(r0, r1, s0, s1):
+    """The last nonzero remainder of the subresultant PRS of the int lists
+    r0, r1 (deg r0 >= deg r1) and its cofactor, from s0, s1 those of r0, r1."""
+    g = h = 1
+    while r1:
+        delta = len(r0) - len(r1)
+        scale = r1[-1] ** (delta + 1)
+        q, r = quo_rem([c * scale for c in r0], r1)
+        s = sub([c * scale for c in s0], mul(q, s1), 0)
+        beta = [g * h ** delta]
+        r0, s0, r1, s1 = r1, s1, quo_rem(r, beta)[0], quo_rem(s, beta)[0]
+        g, h = r0[-1], r0[-1] ** delta * h // h ** delta
+    return r0, s0
+
+
 def gcd(a, b, p):
     """Monic gcd of a and b; [] when both are zero."""
-    a = trim([c % p for c in a] if p else list(a))
-    b = trim([c % p for c in b] if p else list(b))
+    if not p:
+        return gcdex(a, b, 0)[0]
+    a, b = (trim([c % p for c in h]) for h in (a, b))
     while b:
         if len(b) == 1:
             return [1]
@@ -83,33 +103,38 @@ def gcd(a, b, p):
 
 
 def gcdex(f, g, p):
-    """(d, u, v) with d the monic gcd of f and g (or [] when both are zero)
-    and u*f + v*g = d.  The remainder sequence carries only the f-cofactor
-    u of each remainder; v = (d - u*f)/g is one exact division at the end."""
-    f = trim([c % p for c in f] if p else list(f))
-    g = trim([c % p for c in g] if p else list(g))
-    if f:
-        inv = _inv(f[-1], p)
-        r0, u0 = _scale(f, inv, p), [inv]
-    else:
-        r0, u0 = [], [1]
-    g_monic = monic(g, p) if g else []
-    r1, u1 = g_monic, []
+    """(d, u, v): d the monic gcd of f and g ([] when both are zero), u*f +
+    v*g = d.  Only u is carried; v is one exact division at the end."""
+    if not p:
+        a, b = (lcm(*(c.denominator for c in h)) for h in (f, g))
+        F, G = (trim([c.numerator * (n // c.denominator) for c in h])
+                for h, n in ((f, a), (g, b)))
+        r, s = prs(G, F, [], [1]) if len(F) < len(G) else prs(F, G, [1], [])
+        t, rest = quo_rem(sub(r, mul(s, F), 0), G) if G else ([], [])
+        if rest:
+            raise ArithmeticError("gcdex: G does not divide r - s*F")
+        lc = r[-1] if r else 1
+        return tuple([Fraction(c * n, lc) for c in h]
+                     for h, n in ((r, 1), (s, a), (t, b)))
+    f, g = (trim([c % p for c in h]) for h in (f, g))
+    inv, g_inv = (pow(h[-1], -1, p) if h else 1 for h in (f, g))
+    g_monic = [x * g_inv % p for x in g]
+    r0, u0, r1, u1 = [x * inv % p for x in f], [inv], g_monic, []
     while r1:
         work = list(r0)
         r = divide(work, r1, p)
         u = []
         if r:
-            inv = _inv(r[-1], p)
-            r = _scale(r, inv, p)
-            u = _scale(sub(u0, mul(work[len(r1) - 1:], u1), p), inv, p)
+            inv = pow(r[-1], -1, p)
+            r = [x * inv % p for x in r]
+            u = [x * inv % p for x in sub(u0, mul(work[len(r1) - 1:], u1), p)]
         r0, u0, r1, u1 = r1, u1, r, u
     if not g:
         return r0, u0, []
     work = sub(r0, mul(u0, f), p)
     if divide(work, g_monic, p):
         raise ArithmeticError("gcdex: g does not divide d - u*f")
-    return r0, u0, _scale(work[len(g) - 1:], _inv(g[-1], p), p)
+    return r0, u0, [x * g_inv % p for x in work[len(g) - 1:]]
 
 
 def powmod(a, e, m, p):

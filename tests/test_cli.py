@@ -48,6 +48,16 @@ def test_gcd_command(cli):
     assert lines[0] == "gcd: x^(1/2) - 1"
 
 
+def test_gcd_golden_stdout_with_wide_cofactors(cli):
+    """A gcd over Q whose cofactors have entries of several hundred bits;
+    the stdout is pinned byte for byte."""
+    case = json.loads((Path(__file__).parent / "data" /
+                       "cli_gcd_golden.json").read_text())
+    code, out, err = cli(*case["argv"])
+    assert (code, out, err) == (0, case["stdout"], "")
+    assert max(int(x).bit_length() for x in re.findall(r"\d+", out)) > 400
+
+
 def test_member_commands(cli):
     code, out, _ = cli("member", "--vars", "x", "--ideal", "x^(1/2)", "x")
     assert (code, out.strip()) == (0, "true")
@@ -434,6 +444,16 @@ def test_roots_and_variety_answer_at_once(cli):
         code, out, err = cli(*argv)
         assert perf_counter() - start < 1.0
         assert (code, out, err) == (0, want, "")
+
+
+def test_cech_builds_only_spots_that_can_be_nonempty(cli):
+    """Every entry -1: one summand, whose only nonempty spot is the last, so
+    the answer must not cost O(n^2)."""
+    start = perf_counter()
+    code, out, err = cli("cech", "--n", "10000", "--deg=-10001", "--den", "1",
+                         "--box", "1")
+    assert perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "h: " + "0," * 10000 + "1\n", "")
 
 
 def test_cech_size_limits(cli):

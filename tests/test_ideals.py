@@ -321,6 +321,49 @@ def test_gcd_matches_two_cofactor_euclid(field, fspec, gspec, shape):
         assert _flat_degree(v, fmap) <= max(df - dd - 1, 0)
 
 
+_WIDE = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40),
+                  st.integers(1, 2 ** 8))
+
+
+@st.composite
+def _wide_q_pair(draw):
+    """Two one-variable polynomials over Q, dense or sparse, of degree up to
+    16 (20 with a planted common factor), with 40-bit numerators and 8-bit
+    denominators.  Sparse supports, and above all polynomials in x^2 or x^3,
+    make remainder degrees drop by several at once: the abnormal steps of
+    the subresultant PRS.  (The Fraction oracle takes about 5 s at degree
+    25, so the degrees stop at 16.)"""
+    stride = draw(st.sampled_from([1, 1, 2, 3]))
+
+    def poly(deg):
+        sparse = draw(st.booleans())
+        pairs = [(deg * stride, draw(_WIDE.filter(bool)))]
+        for e in range(deg):
+            if not sparse or draw(st.integers(0, 3)) == 0:
+                pairs.append((e * stride, draw(_WIDE)))
+        return univariate(QQ, pairs)
+
+    top = 16 // stride
+    shape = draw(st.sampled_from(["free", "deg f < deg g", "deg f = deg g"]))
+    df = draw(st.integers(0, top - 1))
+    dg = {"free": lambda: draw(st.integers(0, top)),
+          "deg f < deg g": lambda: draw(st.integers(df + 1, top)),
+          "deg f = deg g": lambda: df}[shape]()
+    f, g = poly(df), poly(dg)
+    k = draw(st.integers(0, 4 // stride))
+    if k:
+        common = poly(k)
+        f, g = f * common, g * common
+    return f, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_q_pair())
+def test_wide_q_gcd_matches_two_cofactor_euclid(pair):
+    f, g = pair
+    assert gcd_univariate(f, g) == _two_cofactor_gcd(f, g)
+
+
 def test_gcd_edge_cases_match_two_cofactor_euclid():
     for field in (QQ, PrimeField(7)):
         x = univariate(field, [(Fraction(1, 2), 1), (0, 3)])
