@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import charp, cohomology, flatten, geometry, grading, ideals
-from .errors import FieldMismatch, QdegError
+from .errors import FieldMismatch, IntegerTooLong, QdegError
 from .fields import QQ, field_from_name
 from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
@@ -262,7 +262,6 @@ def _cmd_cech(args):
     dims = cohomology.twist_dims(args.n, args.deg, args.den, args.box)
     payload = {"h": list(dims.h)}
     lines = ["h: %s" % ",".join(str(x) for x in dims.h)]
-    names = ["X%d" % i for i in range(args.n + 1)]
     if args.basis == "h0":
         basis = cohomology.h0_basis(args.n, args.deg, args.den)
     elif args.basis == "hn":
@@ -270,6 +269,7 @@ def _cmd_cech(args):
     else:
         basis = None
     if basis is not None:
+        names = ["X%d" % i for i in range(args.n + 1)]
         texts = [_mono_text(mono, names) for mono in basis]
         payload["basis"] = texts
         lines += ["basis: %s" % t for t in texts]
@@ -424,10 +424,16 @@ def run(argv):
         return exc.code if exc.code is not None else 0
     try:
         args.func(args)
+        return 0
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        error = IntegerTooLong("an integer has more than %d decimal digits"
+                               % sys.get_int_max_str_digits())
     except QdegError as exc:
-        print("%s: %s" % (exc.ident, exc), file=sys.stderr)
-        return 1
-    return 0
+        error = exc
+    print("%s: %s" % (error.ident, error), file=sys.stderr)
+    return 1
 
 
 def main():

@@ -5,19 +5,19 @@ The Cech differential preserves the exponent vector of a monomial, so the
 degree-m slice of the complex splits into one finite summand per multidegree
 l = (l_0,...,l_n) with sum m.  The monomial X^l lies in the localization at
 X_I exactly when every variable with a negative exponent is inverted, so the
-summand's shape depends only on NEG(l) = {i : l_i < 0}, and after
-relabelling the variables only on |NEG|.  So the summands are counted per
-|NEG| in closed form, by inclusion-exclusion, and the cohomology of one
-complex per |NEG| is computed by exact sparse rank and cached.  h^0 and h^n
-come out as monomial counts; every middle spot vanishes, which the rank
-computation re-derives rather than assumes.  A column of a Cech
-differential has at most p + 2 nonzero entries, all +-1, so the d o d check
-multiplies nonzero entries only.
+summand is the complex of the subsets of {0..n} that contain NEG(l) =
+{i : l_i < 0}.  With no negatives it has h^0 = 1, with all n + 1 negative
+h^n = 1, and otherwise it is acyclic (Hartshorne III.5.1).  So twist_dims
+counts monomials in closed form: h^0 those without negatives, h^n those
+without nonnegatives, and every middle spot is 0.  The summands themselves
+(complex_for_pattern, multidegree_complex) and their exact sparse rank
+(complex_cohomology_dims) stay as a witness that the tests check the closed
+form against.  A column of a Cech differential has at most p + 2 nonzero
+entries, all +-1, so the d o d check multiplies nonzero entries only.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, floor
 
@@ -27,15 +27,16 @@ from .fields import QQ
 from .linalg import matrix_rank
 from .poly import Monomial
 
-# The most free variables n + 1 - k of a Cech summand built for its rank; it
-# has 2^(n+1-k) subsets.  At the limit (n = 11, k = 0, or n = 12, k = 1) one
-# summand takes about 1.3 s and 36 MB, one more free variable 4.5 s and
-# 93 MB (Python 3.11, one core of a shared 2-core VM).
-MAX_FREE_VARIABLES = 12
-# The most monomials h0_basis or hn_basis lists.  At the limit, n = 3 takes
-# about 1.3 s in the library and 2.5 s through `qdeg cech --basis` (same
-# machine); the benchmark's largest basis has 969.
-MAX_BASIS_SIZE = 100_000
+# The most work twist_dims admits: (n + 1) * (1 + the terms of its two
+# inclusion-exclusion sums) * the bit length of (the larger sum + n).  A
+# binomial costs more than linearly in its bits, so the largest sets the
+# limit: C(2n, n) at n = 83332 takes about 0.4 s, and every admitted input
+# answers in under 0.6 s (Python 3.11, one core of a shared 2-core VM).
+MAX_TWIST_WORK = 3_000_000
+# The most monomials times n that h0_basis or hn_basis lists (a monomial has
+# n + 1 exponents).  The largest basis on P^1 takes about 0.3 s through
+# `qdeg cech --basis` (same machine); the benchmark's largest has 969.
+MAX_BASIS_SIZE = 20_000
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,6 @@ def complex_cohomology_dims(c):
     return out
 
 
-@lru_cache(maxsize=None)
-def _pattern_dims(n, k):
-    """Cohomology of the summand whose first k variables are negative; by
-    relabelling, every multidegree with k negatives has the same."""
-    return tuple(complex_cohomology_dims(complex_for_pattern(n, range(k))))
-
-
 def _require_level(n, m, level):
     if n < 0:
         raise NegativeDimension("P^%d has negative dimension" % n)
@@ -165,92 +159,90 @@ def _require_level(n, m, level):
     return m
 
 
-def _count_with_negatives(n, total, bound, k):
-    """The number of integer vectors in [-bound, bound]^(n+1), bound >= 0,
-    that sum to total and have exactly k negative entries.  Shifting each
-    negative entry by B = bound leaves r = n+1-k entries in [0, B] and k in
-    [0, B-1] summing to T = total + kB; inclusion-exclusion over the upper
-    bounds (Stanley, Enumerative Combinatorics I, ch. 2) counts those as
-    sum (-1)^(i+j) C(r, i) C(k, j) S(T - i(B+1) - jB), S(s) = C(s+n, n)."""
-    r, top, acc = n + 1 - k, total + k * bound, 0
-    for i in range(min(r, top // (bound + 1)) + 1):  # top - i(B+1) >= 0
-        for j in range(k + 1):
-            s = top - i * (bound + 1) - j * bound
-            if s < 0:
-                break
-            acc += (-1) ** (i + j) * comb(r, i) * comb(k, j) * comb(s + n, n)
-    return comb(n + 1, k) * acc
+def _reflect(n, s, c):
+    """s, or (n+1)c - s when that is smaller (the map x -> c - x on
+    [0, c]^(n+1)); -1 when no vector of that box sums to s."""
+    s = min(s, (n + 1) * c - s)
+    return s if c >= 0 and s >= 0 else -1
+
+
+def _terms(n, s, c):
+    """The number of terms of _box_count(n, s, c), s already reflected."""
+    return 1 + min(n + 1, s // (c + 1)) if s >= 0 else 0
+
+
+def _box_count(n, s, c):
+    """N(n, s, c), the integer vectors in [0, c]^(n+1) that sum to s.  After
+    the reflection, inclusion-exclusion over the upper bounds (Stanley,
+    Enumerative Combinatorics I, ch. 2) gives
+    sum_i (-1)^i C(n+1, i) C(s - i(c+1) + n, n)."""
+    s = _reflect(n, s, c)
+    return sum((-1) ** i * comb(n + 1, i) * comb(s - i * (c + 1) + n, n)
+               for i in range(_terms(n, s, c)))
 
 
 def twist_dims(n, m, level, box):
     """Cohomology dimensions of O(m) on P^n at denominator level D = level,
     summed over all multidegrees with |l_i| <= box.
 
-    The multidegrees are counted per number k of negative entries.  Their
-    sums fill [-k*bound, (n+1)*bound - k], so the first k whose range holds
-    the total gives the most free variables n + 1 - k, and the size limit
-    raises there, before anything is counted or built.  With box >= |m| the
-    h^0 and h^n sums are complete; middle spots vanish multidegree by
-    multidegree, which the rank computation verifies."""
+    With B = floor(box * D), h^0 counts the vectors in [0, B]^(n+1) that
+    sum to Dm, and h^n those in [-B, -1]^(n+1), that is N(n, -Dm-(n+1), B-1)
+    after x -> -1 - x; the middle spots are 0.  The work estimate is checked
+    before any binomial or the answer's n + 1 entries are made."""
     m = _require_level(n, m, level)
     box = Fraction(box)
     total, bound = int(m * level), floor(box * level)
+    sums = [(_reflect(n, total, bound), bound),
+            (_reflect(n, -total - n - 1, bound - 1), bound - 1)]
+    terms = sum(_terms(n, s, c) for s, c in sums)
+    work = (n + 1) * (1 + terms) * (max(s for s, _ in sums) + n).bit_length()
+    if work > MAX_TWIST_WORK:
+        raise CohomologyTooLarge("the closed form on P^%d (%d terms) is above "
+                                 "the limit %d" % (n, terms, MAX_TWIST_WORK))
     h = [0] * (n + 1)
-    for k in range(n + 2):
-        if not -k * bound <= total <= (n + 1) * bound - k:
-            continue  # no multidegree has k negatives
-        if n + 1 - k > MAX_FREE_VARIABLES:
-            raise CohomologyTooLarge(
-                "a Cech summand with %d free variables is above the limit %d"
-                % (n + 1 - k, MAX_FREE_VARIABLES))
-        count = _count_with_negatives(n, total, bound, k)
-        for p, d in enumerate(_pattern_dims(n, k)):
-            h[p] += d * count
+    h[0] = _box_count(n, *sums[0])
+    h[n] += _box_count(n, *sums[1])  # on P^0 both land in the one spot
     return CohomologyDims(tuple(h), n, m, level, box)
 
 
-def _exponent_vectors(n, total, low, high):
-    """Integer vectors of length n+1 with entries in [low, high], given sum."""
-    out = []
-
-    def walk(i, remaining, prefix):
-        if i == n:
-            if low <= remaining <= high:
-                out.append(prefix + (remaining,))
-            return
-        left = n - i
-        for v in range(low, high + 1):
-            rest = remaining - v
-            if rest < low * left or rest > high * left:
-                continue
-            walk(i + 1, rest, prefix + (v,))
-
-    walk(0, total, ())
-    return out
-
-
-def _basis(n, level, count, total, low, high):
-    """The monomials with exponent vectors v/level, v in [low, high]^(n+1)
-    summing to total, once their count is checked against MAX_BASIS_SIZE."""
-    if count > MAX_BASIS_SIZE:
-        raise CohomologyTooLarge("a basis of %d monomials is above the limit %d"
-                                 % (count, MAX_BASIS_SIZE))
-    return [Monomial.make((i, Fraction(k, level)) for i, k in enumerate(v))
-            for v in sorted(_exponent_vectors(n, total, low, high))]
+def _basis(n, level, s, negative):
+    """The monomials X^(v/level), sorted by v, for the vectors y of n + 1
+    nonnegative integers summing to s (stars and bars), with v = y, or
+    v = -1 - y when negative.  Their count C(s + n, n) grows with each
+    factor of its product, so MAX_BASIS_SIZE is checked along the way."""
+    if s < 0:
+        return []
+    count, i = 1, 0
+    while count * n <= MAX_BASIS_SIZE and i < min(s, n):
+        count, i = count * (s + n - i) // (i + 1), i + 1  # C(s + n, i)
+    if count * n > MAX_BASIS_SIZE:
+        raise CohomologyTooLarge("a basis on P^%d has more than %d monomials"
+                                 % (n, MAX_BASIS_SIZE // n))
+    sign, shift = (-1, -1) if negative else (1, 0)
+    if not n:  # the one vector (s,); s is not bounded on P^0
+        return [Monomial.make([(0, Fraction(shift + sign * s, level))])]
+    exps = [Fraction(shift + sign * y, level) for y in range(s + 1)]
+    monos = []
+    for bars in combinations(range(s + n), n):  # ascending y
+        edges = (-1,) + bars + (s + n,)
+        gaps = zip(edges, edges[1:])
+        monos.append(Monomial.make((i, exps[b - a - 1])
+                                   for i, (a, b) in enumerate(gaps)))
+    return monos[::-1] if negative else monos
 
 
 def h0_basis(n, m, level):
     """Monomial basis of the global sections of O(m) at the given level:
     nonnegative exponents in (1/D)Z summing to m.  Count is C(Dm+n, n)."""
     total = int(_require_level(n, m, level) * level)
-    return _basis(n, level, h0_count(n, m, level), total, 0, total)
+    return _basis(n, level, total, False)
 
 
 def hn_basis(n, m, level):
     """Monomial basis of the top cohomology at the given level: strictly
     negative exponents summing to m.  Count is C(-Dm-1, n) when -Dm >= n+1."""
     total = int(_require_level(n, m, level) * level)
-    return _basis(n, level, hn_count(n, m, level), total, total, -1)
+    return _basis(n, level, -total - n - 1, True)
 
 
 def h0_count(n, m, level):

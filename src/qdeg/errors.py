@@ -82,7 +82,11 @@ class LevelTooLarge(DegreeLevelMismatch):
 
 
 class CohomologyTooLarge(QdegError):
-    """A Cech summand or a cohomology basis above the fixed size limit."""
+    """A closed-form Cech count or a cohomology basis above its fixed limit."""
+
+
+class IntegerTooLong(QdegError):
+    """An integer longer than sys.get_int_max_str_digits() decimal digits."""
 
 
 class NegativeDimension(QdegError):

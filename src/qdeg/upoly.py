@@ -4,7 +4,8 @@ A polynomial is a list of coefficients, constant term first, trimmed (no
 trailing zeros; the zero polynomial is []).  ``p`` is the characteristic:
 over F_p (p > 0) the coefficients are int residues, over Q (p = 0) they are
 Fractions or ints.  Over F_p the functions accept unreduced ints and, apart
-from mul, return least residues.
+from mul, return least residues.  monic, divide, gcd, powmod and roots
+work over F_p only.
 
 Euclid runs on monic remainders over F_p (von zur Gathen & Gerhard, Modern
 Computer Algebra, 2.4, 3.2), over Q as the subresultant PRS on ints (Collins
@@ -24,25 +25,22 @@ def trim(a):
 
 
 def monic(a, p):
-    """The nonzero a divided by its leading coefficient."""
-    if p:  # inline: the variety scan makes it on every root prefix
-        inv = pow(a[-1], -1, p)
-        return [c * inv % p for c in a]
-    inv = 1 / Fraction(a[-1])
-    return [c * inv for c in a]
+    """The nonzero a divided by its leading coefficient, over F_p."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def divide(a, m, p):
-    """The remainder of a by the monic m.  The division runs in place:
-    afterwards a[deg m:] holds the quotient."""
+    """The remainder of a by the monic m over F_p.  The division runs in
+    place: afterwards a[deg m:] holds the quotient."""
     dm = len(m) - 1
     for top in range(len(a) - 1, dm - 1, -1):
-        c = a[top] = a[top] % p if p else a[top]
+        c = a[top] = a[top] % p
         if c:
             base = top - dm
             for i in range(dm):
                 a[base + i] -= c * m[i]
-    return trim([c % p for c in a[:dm]] if p else a[:dm])
+    return trim([c % p for c in a[:dm]])
 
 
 def mul(a, b):
@@ -90,9 +88,7 @@ def prs(r0, r1, s0, s1):
 
 
 def gcd(a, b, p):
-    """Monic gcd of a and b; [] when both are zero."""
-    if not p:
-        return gcdex(a, b, 0)[0]
+    """Monic gcd of a and b over F_p; [] when both are zero."""
     a, b = (trim([c % p for c in h]) for h in (a, b))
     while b:
         if len(b) == 1:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -132,15 +133,17 @@ def _assert_clean_exit(argv, empty_ok=False):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.one_of(st.integers(-2, 3).map(str), _GARBAGE),
-       deg=_fraction_text((-10 ** 6, 10 ** 6), (-1, 3)),
+@given(n=st.one_of(st.integers(-2, 10 ** 5).map(str), _GARBAGE),
+       deg=_fraction_text((-10 ** 12, 10 ** 12), (-1, 3)),
        den=st.one_of(st.integers(-2, 4).map(str), _GARBAGE),
-       box=_fraction_text((-10 ** 6, 10 ** 6), (-1, 3)),
+       box=_fraction_text((-10 ** 12, 10 ** 12), (-1, 3)),
        extra=st.sampled_from([(), ("--json",), ("--basis", "h0"),
                               ("--basis", "hn")]))
 def test_cech_fuzz_exit_codes(n, deg, den, box, extra):
+    start = perf_counter()
     _assert_clean_exit(["cech", "--n=" + n, "--deg=" + deg, "--den=" + den,
                         "--box=" + box, *extra])
+    assert perf_counter() - start < 1.0
 
 
 _FIELDS = st.sampled_from(["q", "fp:5", "fp:7", "fp:4", "fp:", "fp:x", "r"])
@@ -457,13 +460,54 @@ def test_cech_builds_only_spots_that_can_be_nonempty(cli):
 
 
 def test_cech_size_limits(cli):
-    for argv in (("--n", "200", "--deg", "5", "--den", "1", "--box", "5"),
+    # the closed form answers where a Cech summand had 2^201 subsets
+    start = perf_counter()
+    code, out, err = cli("cech", "--n", "200", "--deg", "5", "--den", "1",
+                         "--box", "5")
+    assert perf_counter() - start < 1.0
+    want = "h: %d%s\n" % (comb(205, 5), ",0" * 200)
+    assert (code, out, err) == (0, want, "")
+    for argv in (("--n", "10000", "--deg", "5000", "--den", "1", "--box", "1"),
                  ("--n", "3", "--deg", "1000", "--den", "1", "--box", "1",
+                  "--basis", "h0"),
+                 ("--n", "2000", "--deg", "1", "--den", "1", "--box", "1",
                   "--basis", "h0")):
         start = perf_counter()
         code, out, err = cli("cech", *argv)
         assert perf_counter() - start < 1.0
         assert (code, out) == (1, "") and err.startswith("CohomologyTooLarge:")
+
+
+def test_cech_basis_at_large_dimension(cli):
+    """One monomial of 5001 exponents, listed without a recursion per
+    coordinate."""
+    code, out, err = cli("cech", "--n", "5000", "--deg=-5001", "--den", "1",
+                         "--box", "1", "--basis", "hn")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "basis: " + "*".join("X%d^(-1)" % i for i in range(5001))]
+
+
+def test_answers_past_the_digit_limit_exit_1(cli):
+    """Python reads and prints ints of at most 4300 digits; longer ones are
+    a domain error, not a ValueError traceback."""
+    for argv in (("parse", "--vars", "x", "(2*x)^20000"),
+                 ("parse", "--vars", "x", "1" + "0" * 5000),
+                 ("cech", "--n", "10000", "--deg=-100000001", "--den", "1",
+                  "--box", "10000")):
+        for extra in ((), ("--json",)):
+            code, out, err = cli(argv[0], *extra, *argv[1:])
+            assert (code, out) == (1, "")
+            assert err.startswith("IntegerTooLong:")
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    def broken(*args):
+        raise ValueError("not the digit limit")
+
+    monkeypatch.setattr(cli_module.cohomology, "twist_dims", broken)
+    with pytest.raises(ValueError, match="not the digit limit"):
+        run(["cech", "--n", "1", "--deg", "0", "--den", "1", "--box", "1"])
 
 
 def test_cech_at_large_degree_answers_at_once(cli):

@@ -6,12 +6,12 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdeg.cohomology import (MAX_BASIS_SIZE, MAX_FREE_VARIABLES,
-                             ChainComplex, CohomologyDims, MultiDegree,
-                             _count_with_negatives,
-                             complex_cohomology_dims, h0_basis, h0_count,
-                             hn_basis, hn_count, kunneth_dims,
-                             multidegree_complex, twist_dims)
+import qdeg.cohomology
+from qdeg.cohomology import (MAX_BASIS_SIZE, ChainComplex, CohomologyDims,
+                             MultiDegree, _box_count,
+                             complex_cohomology_dims, complex_for_pattern,
+                             h0_basis, h0_count, hn_basis, hn_count,
+                             kunneth_dims, multidegree_complex, twist_dims)
 from qdeg.errors import (CohomologyTooLarge, DegreeLevelMismatch,
                          MalformedComplex, NegativeDimension)
 from qdeg.fields import QQ, PrimeField
@@ -61,6 +61,16 @@ def test_malformed_complex_rejected():
         ChainComplex((1, 1, 1), ([[QQ.one]], [[QQ.one]]))
 
 
+def _closed_form(n, k):
+    """The cohomology twist_dims assumes for a summand with k negatives."""
+    h = [0] * (n + 1)
+    if k == 0:
+        h[0] = 1
+    elif k == n + 1:
+        h[n] = 1
+    return h
+
+
 def test_dichotomy_matches_rank_computation():
     # the case analysis: h = (1,0,..,0) iff no negatives, (0,..,0,1) iff all
     # negative, and identically zero otherwise -- re-derived by exact rank
@@ -68,13 +78,30 @@ def test_dichotomy_matches_rank_computation():
         for signs in product((-2, 1), repeat=n + 1):
             l = MultiDegree(tuple(Fraction(s) for s in signs))
             h = complex_cohomology_dims(multidegree_complex(l))
-            neg = l.negatives()
-            if not neg:
-                assert h == [1] + [0] * n
-            elif len(neg) == n + 1:
-                assert h == [0] * n + [1]
-            else:
-                assert h == [0] * (n + 1)
+            assert h == _closed_form(n, len(l.negatives()))
+    # the witness: by relabelling, the summands with k negatives are those
+    # of range(k); rank each over Q and two prime fields
+    for n in range(11):
+        for k in range(n + 2):
+            for field in (QQ, PrimeField(2), PrimeField(32003)):
+                c = complex_for_pattern(n, range(k), field)
+                assert complex_cohomology_dims(c) == _closed_form(n, k), \
+                    (n, k, field)
+
+
+def test_twist_dims_ranks_no_complex(monkeypatch):
+    calls, rank = [], qdeg.cohomology.matrix_rank
+
+    def counting_rank(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(qdeg.cohomology, "matrix_rank", counting_rank)
+    for n in range(6):
+        for total in range(-2 * n - 3, 2 * n + 3):
+            twist_dims(n, total, 1, 2)
+    assert twist_dims(30, -950, 1, 50).h[30] > 0
+    assert calls == []
 
 
 def test_twist_dims_worked_examples():
@@ -174,16 +201,23 @@ def _brute_counts(n, bound):
     return out
 
 
+def _negative_extremes(n, total, bound):
+    """(vectors without negatives, vectors without nonnegatives) in
+    [-bound, bound]^(n+1) summing to total, by the box count N."""
+    return (_box_count(n, total, bound),
+            _box_count(n, -total - (n + 1), bound - 1))
+
+
 def test_count_by_negatives_matches_brute_force():
+    # columns 0 and n+1 of the counts by number of negatives
     for n in range(4):
         for bound in range(5):
             brute = _brute_counts(n, bound)
             edge = (n + 1) * bound
             for total in range(-edge - 2, edge + 3):  # inside and beyond
-                counts = [_count_with_negatives(n, total, bound, k)
-                          for k in range(n + 2)]
-                assert counts == brute.get(total, [0] * (n + 2)), \
-                    (n, total, bound)
+                counts = brute.get(total, [0] * (n + 2))
+                assert _negative_extremes(n, total, bound) == \
+                    (counts[0], counts[n + 1]), (n, total, bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,26 +225,23 @@ def test_count_by_negatives_matches_brute_force():
        total=st.integers(-30, 30))
 def test_count_with_negatives_matches_brute_force_beyond_the_box(
         n, bound, total):
-    brute = _brute_counts(n, bound).get(total, [0] * (n + 2))
-    assert [_count_with_negatives(n, total, bound, k)
-            for k in range(n + 2)] == brute
+    counts = _brute_counts(n, bound).get(total, [0] * (n + 2))
+    assert _negative_extremes(n, total, bound) == (counts[0], counts[n + 1])
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(0, 30), bound=st.integers(0, 10 ** 4))
-def test_counts_sum_to_the_vectors_in_the_box(data, n, bound):
-    # shifting every entry by bound: vectors in [0, 2B]^(n+1) summing to
-    # total + (n+1)B, by inclusion-exclusion over the n+1 upper bounds
-    edge = (n + 1) * bound
-    total = data.draw(st.integers(-edge - 3, edge + 3))
+@given(data=st.data(), n=st.integers(0, 30), c=st.integers(0, 10 ** 4))
+def test_reflected_box_count_matches_the_plain_sum(data, n, c):
+    # N(n, s, c) reflects s to (n+1)c - s when that is smaller and returns
+    # 0 outside [0, (n+1)c] at once; the plain sum runs over every i
+    s = data.draw(st.integers(-3, (n + 1) * c + 3))
 
-    def free(s):
-        return comb(s + n, n) if s >= 0 else 0
+    def free(t):
+        return comb(t + n, n) if t >= 0 else 0
 
-    want = sum((-1) ** i * comb(n + 1, i)
-               * free(total + edge - i * (2 * bound + 1)) for i in range(n + 2))
-    assert sum(_count_with_negatives(n, total, bound, k)
-               for k in range(n + 2)) == want
+    want = sum((-1) ** i * comb(n + 1, i) * free(s - i * (c + 1))
+               for i in range(n + 2))
+    assert _box_count(n, s, c) == want
 
 
 def test_twist_dims_at_large_degree_and_dimension():
@@ -283,17 +314,20 @@ def test_multidegree_complex_over_prime_field():
 
 
 def test_complex_size_limit():
-    # only the zero vector: one summand with every variable free
-    n = MAX_FREE_VARIABLES - 1
-    assert twist_dims(n, 0, 1, 0).h == (1,) + (0,) * n
-    with pytest.raises(CohomologyTooLarge):
-        twist_dims(n + 1, 0, 1, 0)
-    # one negative entry frees one variable fewer
-    assert twist_dims(n + 1, -1, 1, Fraction(1, 2)).h == (0,) * (n + 2)
+    # answers in closed form where a Cech summand would have 2^13 or 2^201
+    # subsets: only the zero vector, and the vectors in [0, 5]^201 with sum 5
     start = perf_counter()
-    with pytest.raises(CohomologyTooLarge):
-        twist_dims(200, 5, 1, 5)
+    assert twist_dims(12, 0, 1, 0).h == (1,) + (0,) * 12
+    assert twist_dims(13, -1, 1, Fraction(1, 2)).h == (0,) * 14
+    assert twist_dims(200, 5, 1, 5).h == (comb(205, 5),) + (0,) * 200
     assert perf_counter() - start < 1.0
+    # refused before the n + 1 entries or any binomial are made: an answer
+    # of 10^7 + 1 zeros, and a sum of 2501 binomials of up to 10^4 bits
+    for args in ((10 ** 7, 10 ** 9, 1, 1), (10000, 5000, 1, 1)):
+        start = perf_counter()
+        with pytest.raises(CohomologyTooLarge):
+            twist_dims(*args)
+        assert perf_counter() - start < 0.1
 
 
 def test_basis_size_limit():
@@ -307,6 +341,20 @@ def test_basis_size_limit():
     start = perf_counter()
     with pytest.raises(CohomologyTooLarge):
         h0_basis(3, 1000, 1)
+    assert perf_counter() - start < 1.0
+
+
+def test_bases_at_the_dimension_extremes():
+    # P^0 has one monomial at any degree; on P^n one monomial has n + 1
+    # exponents, so the limit counts monomials times n
+    start = perf_counter()
+    assert h0_basis(0, 10 ** 30, 1) == [Monomial.make([(0, 10 ** 30)])]
+    assert hn_basis(0, -10 ** 30, 1) == [Monomial.make([(0, -10 ** 30)])]
+    assert h0_basis(5000, 0, 1) == [Monomial.one()]
+    assert hn_basis(5000, -5001, 1) == [
+        Monomial.make([(i, -1) for i in range(5001)])]
+    with pytest.raises(CohomologyTooLarge):
+        h0_basis(2000, 1, 1)  # 2001 monomials
     assert perf_counter() - start < 1.0
 
 
