@@ -17,7 +17,7 @@ from random import Random
 
 from . import upoly
 from .errors import CompositionNotPolynomial, FieldMismatch, NotPrimeField
-from .poly import QPolynomial
+from .poly import QPolynomial, divide_exponents
 
 # The largest g = gcd(b, p - 1) whose b-th roots over F_p come from the root
 # finder, about 0.14 s at p = 998244353; above it a scan takes ~p/g steps.
@@ -31,9 +31,7 @@ def p_th_root(f):
     p = f.field.characteristic
     if not p:
         raise NotPrimeField("p-th root needs a prime field")
-    return QPolynomial(f.field, f.nvars,
-                       {m.scale_exponents(Fraction(1, p)): c
-                        for m, c in f.terms.items()})
+    return divide_exponents(f, (p,) * f.nvars)
 
 
 def _integer_root(x, b):
@@ -94,8 +92,8 @@ def fractional_power(g, q):
         if root is None:
             raise CompositionNotPolynomial(
                 "coefficient has no exact %d-th root" % b)
-        root_poly = QPolynomial(field, g.nvars,
-                                {mono.scale_exponents(Fraction(1, b)): root})
+        root_poly = divide_exponents(QPolynomial(field, g.nvars, {mono: root}),
+                                     (b,) * g.nvars)
         return root_poly ** q.numerator
     p = field.characteristic
     if not p:

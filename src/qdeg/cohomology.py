@@ -245,16 +245,6 @@ def hn_basis(n, m, level):
     return _basis(n, level, -total - n - 1, True)
 
 
-def h0_count(n, m, level):
-    total = int(_require_level(n, m, level) * level)
-    return comb(total + n, n) if total >= 0 else 0
-
-
-def hn_count(n, m, level):
-    total = int(_require_level(n, m, level) * level)
-    return comb(-total - 1, n) if -total >= n + 1 else 0
-
-
 def kunneth_dims(a, b):
     """Dimension convolution for a product of projective spaces."""
     ha = tuple(a.h) if isinstance(a, CohomologyDims) else tuple(a)

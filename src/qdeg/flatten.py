@@ -6,16 +6,20 @@ polynomial in an ordinary polynomial ring where Groebner bases, Euclid and
 Noether normalization apply; unflatten divides exponents back out.  Working
 at the minimal joint level is sound for membership questions because the
 level-L' ring is free over the level-L ring whenever L | L'.
+
+The exponent arithmetic is poly's; this module adds the level and its
+checks.  The ideal engine, gcd and roots read ``FlattenMap.flat_terms``
+directly and build no flattened polynomial.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .charp import compose
 from .errors import (ConstantInput, DegreeLevelMismatch, EmptyInput,
                      FieldMismatch, LaurentNotFlattenable)
-from .poly import Monomial, QPolynomial
+from .poly import (QPolynomial, divide_exponents, exponent_orders,
+                   from_int_terms, int_terms)
 
 
 @dataclass(frozen=True)
@@ -37,19 +41,25 @@ class FlattenMap:
     def refine(self, factor):
         return FlattenMap(tuple(L * factor for L in self.orders))
 
+    def flat_terms(self, f):
+        """The int terms of f at this level (poly.int_terms), checked: every
+        exponent becomes a nonnegative int, or LaurentNotFlattenable."""
+        _check_level(self, f)
+        terms = int_terms(f, self.orders)
+        if terms is None or any(min(vec, default=0) < 0 for vec in terms):
+            raise LaurentNotFlattenable(
+                "an exponent is negative or not in (1/L_i)Z at level %s"
+                % (self.orders,))
+        return terms
+
 
 def exponent_lcm(fs):
     """Minimal joint flatten level of a nonempty family of polynomials."""
     fs = list(fs)
     if not fs:
         raise EmptyInput("no polynomials given")
-    nvars = fs[0].nvars
-    orders = [1] * nvars
-    for f in fs:
-        for mono in f.terms:
-            for i, e in mono.exps:
-                orders[i] = lcm(orders[i], e.denominator)
-    return FlattenMap(tuple(orders))
+    return FlattenMap(exponent_orders((m for f in fs for m in f.terms),
+                                      fs[0].nvars))
 
 
 def _check_level(fmap, poly):
@@ -60,20 +70,7 @@ def _check_level(fmap, poly):
 
 def flatten_one(f, fmap):
     """Apply T_i^(1/L_i) -> Y_i to a single polynomial at a given level."""
-    _check_level(fmap, f)
-    out = {}
-    for mono, coeff in f.terms.items():
-        pairs = []
-        for i, e in mono.exps:
-            if e < 0:
-                raise LaurentNotFlattenable("negative exponent on variable %d" % i)
-            scaled = e * fmap.orders[i]
-            if scaled.denominator != 1:
-                raise LaurentNotFlattenable(
-                    "denominator of %s does not divide level %d" % (e, fmap.orders[i]))
-            pairs.append((i, scaled))
-        out[Monomial.make(pairs)] = coeff
-    return QPolynomial(f.field, f.nvars, out)
+    return from_int_terms(f.field, (1,) * f.nvars, fmap.flat_terms(f))
 
 
 def flatten(fs, level=None):
@@ -86,11 +83,7 @@ def flatten(fs, level=None):
 def unflatten(fmap, g):
     """Inverse substitution Y_i -> T_i^(1/L_i); round-trips with flatten."""
     _check_level(fmap, g)
-    out = {}
-    for mono, coeff in g.terms.items():
-        pairs = [(i, e / fmap.orders[i]) for i, e in mono.exps]
-        out[Monomial.make(pairs)] = coeff
-    return QPolynomial(g.field, g.nvars, out)
+    return divide_exponents(g, fmap.orders)
 
 
 def noether_substitution(f):

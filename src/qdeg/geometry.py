@@ -3,7 +3,8 @@
 A point is stored together with compatible roots of its coordinates: the
 value u_i stands for x_i^(1/L), so x_i = u_i^L and every fractional power
 X_i^(a/b) with b | L evaluates exactly as u_i^(aL/b).  No root extraction
-ever happens.  The integer powers aL/b are worked out once per polynomial
+ever happens.  The integer powers aL/b are the int terms of the polynomial
+at order L for every variable (poly.int_terms), read once per polynomial
 and order, so a variety scan converts each generator once, not once per
 point.
 
@@ -29,9 +30,9 @@ from .errors import (FieldMismatch, NotUnivariate, PoleAtPoint,
                      ZeroPolynomial)
 from . import upoly
 from .fields import is_prime
-from .flatten import flatten
+from .flatten import exponent_lcm
 from .linalg import matrix_rank
-from .poly import Monomial, QPolynomial
+from .poly import Monomial, QPolynomial, int_terms
 
 # The most root prefixes p^(n-1) a variety scan visits.  At the limit, two
 # small generators in x, y over F_19997 take about 0.3 s, and x^2 - y^2,
@@ -71,31 +72,27 @@ class PointWithRoots:
 
 
 def _root_powers(f, order):
-    """The terms of f as (coeff, ((var, integer power), ...)): at root order
-    L the exponent a/b of x_i is the power aL/b of the root u_i."""
-    terms = []
-    for mono, coeff in f.terms.items():
-        powers = []
-        for i, e in mono.exps:
-            if order % e.denominator != 0:
-                raise RootOrderMismatch(
-                    "exponent denominator %d does not divide root order %d"
-                    % (e.denominator, order))
-            powers.append((i, e.numerator * (order // e.denominator)))
-        terms.append((coeff, tuple(powers)))
+    """The terms of f as {integer power vector: coeff}: at root order L the
+    exponent a/b of x_i is the power aL/b of the root u_i."""
+    terms = int_terms(f, (order,) * f.nvars)
+    if terms is None:
+        raise RootOrderMismatch(
+            "an exponent denominator does not divide root order %d" % order)
     return terms
 
 
 def _evaluate_powers(field, terms, roots):
     """Value of terms from _root_powers at the root values ``roots``."""
-    total = field.zero
-    for coeff, powers in terms:
+    mul, pow_, zero = field.mul, field.pow, field.zero
+    total = zero
+    for powers, coeff in terms.items():
         val = coeff
-        for i, power in powers:
-            u = roots[i]
-            if power < 0 and u == field.zero:
-                raise PoleAtPoint("negative power of zero coordinate %d" % i)
-            val = field.mul(val, field.pow(u, power))
+        for i, power in enumerate(powers):
+            if power:
+                u = roots[i]
+                if power < 0 and u == zero:
+                    raise PoleAtPoint("negative power of zero coordinate %d" % i)
+                val = mul(val, pow_(u, power))
         total = field.add(total, val)
     return total
 
@@ -184,9 +181,9 @@ def roots_univariate(f):
         raise NotUnivariate("roots_univariate needs one variable")
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a zero")
-    fmap, (g,) = flatten([f])
+    fmap = exponent_lcm([f])
     L = fmap.orders[0]
-    exps = [(int(mono.exponent(0)), c) for mono, c in g.terms.items()]
+    exps = [(e, c) for (e,), c in fmap.flat_terms(f).items()]
     p = f.field.characteristic
     if p:
         dense = [0] * min(max(e for e, _ in exps) + 1, p)
@@ -233,13 +230,13 @@ def variety_bruteforce(gens, order):
     last = n - 1
     specs = []
     for terms in gen_terms:
-        low = min([0] + [pw for _, powers in terms
-                         for i, pw in powers if i == last])
-        split = [(coeff, tuple((i, pw) for i, pw in powers if i != last),
-                  _fold(sum(pw for i, pw in powers if i == last) - low, p))
-                 for coeff, powers in terms]
-        poles = {i for _, powers in terms for i, pw in powers
-                 if pw < 0 and i != last}
+        low = min([0] + [powers[last] for powers in terms])
+        split = [(coeff, tuple((i, pw) for i, pw in enumerate(powers[:last])
+                               if pw),
+                  _fold(powers[last] - low, p))
+                 for powers, coeff in terms.items()]
+        poles = {i for powers in terms for i, pw in enumerate(powers[:last])
+                 if pw < 0}
         specs.append((split, tuple(poles), low < 0,
                       max(e for _, _, e in split) + 1))
 

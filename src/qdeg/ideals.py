@@ -28,8 +28,8 @@ from operator import add, le, sub
 
 from . import upoly
 from .errors import NotUnivariate
-from .flatten import FlattenMap, flatten, unflatten
-from .poly import Monomial, QPolynomial, int_exponents
+from .flatten import FlattenMap, exponent_lcm
+from .poly import QPolynomial, from_int_terms
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,10 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# flat representation: dict[exponent tuple] -> coefficient.  Inside the
-# engine coefficients are ints; p is the characteristic, 0 for Q.
-
-def _to_flat(g):
-    out = {}
-    for mono, coeff in g.terms.items():
-        out[int_exponents(mono, g.nvars, 1)] = coeff
-    return out
-
-
-def _from_flat(field, nvars, fd):
-    terms = {}
-    for exps, coeff in fd.items():
-        terms[Monomial.make(enumerate(exps))] = coeff
-    return QPolynomial(field, nvars, terms)
-
+# flat representation: dict[exponent tuple] -> coefficient, the int terms of
+# a polynomial at the level (FlattenMap.flat_terms) and back at level 1
+# (poly.from_int_terms).  Inside the engine coefficients are ints; p is the
+# characteristic, 0 for Q.
 
 def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -121,11 +109,11 @@ def _integral(fd, p):
 
 
 def _engine_input(polys, level):
-    """Flatten the polynomials (all nonzero) at the given or their minimal
-    joint level; the level, p and the engine's int dicts."""
-    fmap, flats = flatten(polys, level=level)
+    """The int terms of the polynomials (all nonzero) at the given or their
+    minimal joint level; the level, p and the engine's int dicts."""
+    fmap = level if level is not None else exponent_lcm(polys)
     p = polys[0].field.characteristic
-    return fmap, p, [_integral(_to_flat(g), p) for g in flats]
+    return fmap, p, [_integral(fmap.flat_terms(f), p) for f in polys]
 
 
 def _divisor(lead, fd):
@@ -298,9 +286,10 @@ def groebner(gens, level=None):
         return GroebnerBasis(fmap, ())
     fmap, p, flats = _engine_input(gens.generators, level)
     field = gens.generators[0].field
-    nvars = gens.generators[0].nvars
+    ones = (1,) * gens.generators[0].nvars
     basis = _reduce_basis(_buchberger(flats, p), p)
-    return GroebnerBasis(fmap, tuple(_from_flat(field, nvars, g) for g in basis))
+    return GroebnerBasis(fmap, tuple(from_int_terms(field, ones, g)
+                                     for g in basis))
 
 
 def _check_against(f, gens):
@@ -358,15 +347,16 @@ def gcd_univariate(f, g):
     zero = QPolynomial.zero(field, 1)
     if f.is_zero() and g.is_zero():
         return zero, zero, zero
-    fmap, flats = flatten([f, g])
+    fmap = exponent_lcm([f, g])
     dense = []
-    for fd in map(_to_flat, flats):
+    for h in (f, g):
+        fd = fmap.flat_terms(h)
         top = max(fd, default=(-1,))[0]
         dense.append([fd.get((e,), 0) for e in range(top + 1)])
     d, u, v = upoly.gcdex(*dense, field.characteristic)
 
     def lift(coeffs):
-        terms = {(i,): c for i, c in enumerate(coeffs) if c}
-        return unflatten(fmap, _from_flat(field, 1, terms))
+        return from_int_terms(field, fmap.orders,
+                              {(i,): c for i, c in enumerate(coeffs) if c})
 
     return lift(d), lift(u), lift(v)

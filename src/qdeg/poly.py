@@ -7,16 +7,17 @@ equality is structural.  Negative exponents are allowed in the Laurent
 extension used by derivatives and cohomology bases; ring-level operations
 that require nonnegative exponents check for themselves.
 
-Exponents are Fractions only at the edges of an operation.  Products and
-the print order scale every exponent of the operands once to an int
-vector at their joint level (the lcm of the denominators, see
-``int_exponents``), work on those vectors, and build each result monomial
-once (packed exponents, after Monagan & Pearce, CASC 2007).
+Fraction exponents meet int ones only here.  At root orders L_1..L_n the
+exponent a/b of variable i is the int aL_i/b: ``int_terms`` gives these
+vectors, ``from_int_terms`` maps back and ``exponent_orders`` finds the
+least orders.  Products, the print order, flattening, the Groebner engine,
+gcd, roots, evaluation and p-th roots work on the vectors and build each
+result monomial once (packed exponents, after Monagan & Pearce, CASC 2007).
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .errors import FieldMismatch
 
@@ -88,11 +89,6 @@ class Monomial:
                 del acc[i]
         return Monomial(tuple(sorted(acc.items())))
 
-    def scale_exponents(self, q):
-        """Raise the monomial to the rational power q."""
-        q = Fraction(q)
-        return Monomial.make((i, e * q) for i, e in self.exps)
-
     def dense(self, nvars):
         out = [Fraction(0)] * nvars
         for i, e in self.exps:
@@ -103,28 +99,66 @@ class Monomial:
 _ONE = Monomial(())
 
 
-def _joint_level(monos):
-    """The lcm of the exponent denominators of the monomials (1 if none)."""
-    dens = {e.denominator for m in monos for _, e in m.exps}
-    dens.discard(1)
-    return lcm(*dens) if dens else 1
+def exponent_orders(monos, nvars):
+    """Per variable, the lcm of its exponent denominators in the monomials
+    (1 where there are none): the least orders with int exponents."""
+    orders = [1] * nvars
+    for mono in monos:
+        for i, e in mono.exps:
+            if orders[i] % e.denominator:
+                orders[i] = lcm(orders[i], e.denominator)
+    return tuple(orders)
 
 
-def int_exponents(mono, nvars, level):
-    """The dense exponent vector of mono times level, as ints; level must
-    be a multiple of every exponent denominator of mono."""
-    out = [0] * nvars
-    for i, e in mono.exps:
-        out[i] = e.numerator * (level // e.denominator)
-    return tuple(out)
+def int_terms(f, orders):
+    """{int exponent vector: coefficient} of f with each exponent e of
+    variable i scaled to e*orders[i]; None when one of those is not an int."""
+    out = {}
+    for mono, coeff in f.terms.items():
+        vec = [0] * len(orders)
+        for i, e in mono.exps:
+            order, den = orders[i], e.denominator
+            if order % den:
+                return None
+            vec[i] = e.numerator * (order // den)
+        out[tuple(vec)] = coeff
+    return out
 
 
-def _graded_order(terms, nvars):
-    """(sum, vector) print-order keys of the monomials of a term dict, on
-    their int vectors at the joint level (scaling by it keeps the order)."""
-    level = _joint_level(terms)
-    for mono, coeff in terms.items():
-        vec = int_exponents(mono, nvars, level)
+def from_int_terms(field, orders, terms):
+    """The polynomial whose int_terms at these orders are ``terms``: the
+    exponent k of variable i becomes k/orders[i].  One Fraction is made per
+    distinct (k, order); monomials are built in variable order, unsorted."""
+    by_order = {}
+    columns = [by_order.setdefault(order, {}) for order in orders]
+    out = []
+    for vec, coeff in terms.items():
+        exps = []
+        for i, k in enumerate(vec):
+            if k:
+                column = columns[i]
+                e = column.get(k)
+                if e is None:
+                    e = column[k] = Fraction(k, orders[i])
+                exps.append((i, e))
+        out.append((Monomial(tuple(exps)), coeff))
+    return QPolynomial(field, len(orders), out)
+
+
+def divide_exponents(f, orders):
+    """f with the exponents of variable i divided by orders[i]; exact for
+    any f, Laurent exponents included."""
+    own = exponent_orders(f.terms, f.nvars)
+    return from_int_terms(f.field, tuple(map(mul, own, orders)),
+                          int_terms(f, own))
+
+
+def _graded_order(f):
+    """(sum, vector) print-order keys of the terms of f, on their int
+    vectors at one level for every variable (which keeps the order)."""
+    level = lcm(*exponent_orders(f.terms, f.nvars))
+    vectors = int_terms(f, (level,) * f.nvars)
+    for vec, (mono, coeff) in zip(vectors, f.terms.items()):
         yield (sum(vec), vec), mono, coeff
 
 
@@ -204,29 +238,15 @@ class QPolynomial:
         n = self.nvars
         if not self.terms or not other.terms:
             return QPolynomial(f, n, {})
-        level = _joint_level((*self.terms, *other.terms))
-        left = [(int_exponents(m, n, level), c) for m, c in self.terms.items()]
-        right = [(int_exponents(m, n, level), c) for m, c in other.terms.items()]
+        orders = exponent_orders((*self.terms, *other.terms), n)
+        right = list(int_terms(other, orders).items())
         fadd, fmul, zero = f.add, f.mul, f.zero
         acc = {}
-        for v1, c1 in left:
+        for v1, c1 in int_terms(self, orders).items():
             for v2, c2 in right:
                 v = tuple(map(add, v1, v2))
                 acc[v] = fadd(acc.get(v, zero), fmul(c1, c2))
-        fraction_of = {}
-        terms = {}
-        for v, c in acc.items():
-            if c == zero:
-                continue
-            exps = []
-            for i, k in enumerate(v):
-                if k:
-                    e = fraction_of.get(k)
-                    if e is None:
-                        e = fraction_of[k] = Fraction(k, level)
-                    exps.append((i, e))
-            terms[Monomial(tuple(exps))] = c
-        return QPolynomial(f, n, terms)
+        return from_int_terms(f, orders, acc)
 
     def __pow__(self, e):
         if e < 0:
@@ -257,7 +277,7 @@ class QPolynomial:
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (the canonical iteration)."""
-        keyed = sorted(_graded_order(self.terms, self.nvars),
+        keyed = sorted(_graded_order(self),
                        key=itemgetter(0), reverse=True)
         return [(mono, coeff) for _, mono, coeff in keyed]
 
@@ -269,7 +289,7 @@ class QPolynomial:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        _, mono, coeff = max(_graded_order(self.terms, self.nvars),
+        _, mono, coeff = max(_graded_order(self),
                              key=itemgetter(0))
         return mono, coeff
 

@@ -10,8 +10,7 @@ import qdeg.cohomology
 from qdeg.cohomology import (MAX_BASIS_SIZE, ChainComplex, CohomologyDims,
                              MultiDegree, _box_count,
                              complex_cohomology_dims, complex_for_pattern,
-                             h0_basis, h0_count, hn_basis, hn_count,
-                             kunneth_dims, multidegree_complex, twist_dims)
+                             h0_basis, hn_basis, kunneth_dims, multidegree_complex, twist_dims)
 from qdeg.errors import (CohomologyTooLarge, DegreeLevelMismatch,
                          MalformedComplex, NegativeDimension)
 from qdeg.fields import QQ, PrimeField
@@ -20,6 +19,20 @@ from qdeg.poly import Monomial
 
 def md(*parts):
     return MultiDegree(tuple(Fraction(p) for p in parts))
+
+
+def h0_count(n, m, level):
+    """C(Dm + n, n): the monomials of degree Dm in n + 1 variables."""
+    total = Fraction(m) * level
+    assert total.denominator == 1
+    return comb(int(total) + n, n) if total >= 0 else 0
+
+
+def hn_count(n, m, level):
+    """C(-Dm - 1, n): the vectors of n + 1 entries <= -1 summing to Dm."""
+    total = Fraction(m) * level
+    assert total.denominator == 1
+    return comb(-int(total) - 1, n) if -total >= n + 1 else 0
 
 
 def test_all_negative_concentrates_on_top():
@@ -283,12 +296,12 @@ def test_out_of_range_parameters_rejected():
     for level in (0, -1, -2):
         with pytest.raises(DegreeLevelMismatch):
             twist_dims(2, -3, level, 3)
-        for fn in (h0_basis, hn_basis, h0_count, hn_count):
+        for fn in (h0_basis, hn_basis):
             with pytest.raises(DegreeLevelMismatch):
                 fn(2, -3, level)
     with pytest.raises(NegativeDimension):
         twist_dims(-1, -3, 1, 3)
-    for fn in (h0_basis, hn_basis, h0_count, hn_count):
+    for fn in (h0_basis, hn_basis):
         with pytest.raises(NegativeDimension):
             fn(-1, 0, 1)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import random_poly
 from qdeg.errors import FieldMismatch
 from qdeg.fields import QQ, PrimeField
+from qdeg.geometry import roots_univariate
+from qdeg.ideals import (IdealPresentation, gcd_univariate, groebner,
+                         ideal_member, is_proper, radical_member)
 from qdeg.parser import parse
-from qdeg.poly import Monomial, QPolynomial
+from qdeg.poly import (Monomial, QPolynomial, divide_exponents,
+                       exponent_orders, from_int_terms, int_terms)
 
 F2 = PrimeField(2)
 F7 = PrimeField(7)
@@ -202,3 +207,80 @@ def test_equal_monomials_hash_equal():
     assert made.mul(Monomial.one()) == made == Monomial.one().mul(made)
     assert made.mul(Monomial.make([(0, -half), (1, -1)])) == Monomial.one()
     assert made != made.exps
+
+
+# ---- the exponent boundary: int_terms, from_int_terms, divide_exponents ----
+
+_ORDERS = st.tuples(*[st.integers(1, 12)] * 3)
+
+
+def _is_int_at(f, orders):
+    """Oracle: every exponent times its variable's order is an integer."""
+    return all((e * orders[i]).denominator == 1
+               for mono in f.terms for i, e in mono.exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([QQ, F7]), f=_TERMS,
+       scale=st.tuples(*[st.integers(1, 4)] * 3))
+def test_int_terms_round_trip_at_multiples_of_the_least_orders(field, f, scale):
+    f = _poly(field, f)
+    least = exponent_orders(f.terms, f.nvars)
+    assert _is_int_at(f, least)
+    assert all(not _is_int_at(f, least[:i] + (L - 1,) + least[i + 1:])
+               for i, L in enumerate(least) if L > 1)
+    orders = tuple(L * k for L, k in zip(least, scale))
+    back = from_int_terms(field, orders, int_terms(f, orders))
+    assert back == f
+    assert all(m.exps == Monomial.make(m.exps).exps for m in back.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([QQ, F7]), f=_TERMS, orders=_ORDERS)
+def test_int_terms_is_none_exactly_when_an_exponent_is_off_the_lattice(
+        field, f, orders):
+    f = _poly(field, f)
+    got = int_terms(f, orders)
+    if not _is_int_at(f, orders):
+        assert got is None
+        return
+    assert got == {tuple(mono.exponent(i) * orders[i] for i in range(3)): c
+                   for mono, c in f.terms.items()}
+    assert all(type(k) is int for vec in got for k in vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([QQ, F7]), f=_TERMS, orders=_ORDERS)
+def test_divide_exponents_matches_fraction_division(field, f, orders):
+    f = _poly(field, f)
+    want = QPolynomial(field, 3, {
+        Monomial.make((i, e / orders[i]) for i, e in mono.exps): c
+        for mono, c in f.terms.items()})
+    assert divide_exponents(f, orders) == want
+
+
+def test_engine_gcd_and_roots_build_no_flattened_polynomial(monkeypatch):
+    # the package attribute qdeg.flatten is the function, not the module
+    module = sys.modules["qdeg.flatten"]
+
+    def refuse(f, fmap):
+        raise AssertionError("flatten_one was called")
+
+    monkeypatch.setattr(module, "flatten_one", refuse)
+    xy = ["x", "y"]
+    gens = IdealPresentation([parse("x^(1/2) - y", QQ, xy),
+                              parse("y^2 - 1", QQ, xy)])
+    with pytest.raises(AssertionError):
+        module.flatten(gens.generators)
+    # at level (2, 1), x^(1/2) is the flat variable x
+    assert groebner(gens).basis == (parse("x - y", QQ, xy),
+                                    parse("y^2 - 1", QQ, xy))
+    assert ideal_member(parse("x - 1", QQ, xy), gens)
+    assert not ideal_member(parse("y - 1", QQ, xy), gens)
+    assert is_proper(gens)
+    assert radical_member(parse("x^2 - 1", QQ, xy), gens)
+    x = ["x"]
+    d, u, v = gcd_univariate(parse("x - 1", QQ, x), parse("x^(1/2) - 1", QQ, x))
+    assert d == parse("x^(1/2) - 1", QQ, x)
+    assert roots_univariate(parse("x - 4", QQ, x)) == [4]
+    assert roots_univariate(parse("x^(1/2) - 3", F7, x)) == [2]
