@@ -68,6 +68,13 @@ def test_member_commands(cli):
     assert (code, out.strip()) == (0, "true")
 
 
+def test_member_commands_with_huge_exponents(cli):
+    """Exponents far past 32 bits still get an answer."""
+    for command, ideal in (("member", "x"), ("radical-member", "x^3")):
+        assert cli(command, "--vars", "x,y", "--ideal", ideal,
+                   "x^1099511627776*y") == (0, "true\n", "")
+
+
 def test_cech_json(cli):
     code, out, _ = cli("cech", "--n", "2", "--deg", "-3", "--den", "1",
                        "--box", "3", "--json")

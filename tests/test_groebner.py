@@ -7,15 +7,17 @@ reproduces them exactly."""
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qdeg import ideals
 from qdeg.fields import QQ, PrimeField, RationalField
 from qdeg.flatten import FlattenMap, flatten_one
-from qdeg.ideals import (IdealPresentation, _divisor, _integral, _lead as
-                         _engine_lead, _normal_form, groebner, ideal_member,
-                         is_proper, radical_member)
+from qdeg.ideals import (IdealPresentation, _divisor, _integral,
+                         _normal_form, _SlotOverflow, _Slots, groebner,
+                         ideal_member, is_proper, radical_member)
 from qdeg.parser import parse
 from qdeg.poly import Monomial, QPolynomial
 
@@ -298,17 +300,32 @@ def _flat_systems(p):
     return build()
 
 
-def _engine_divisors(divisors, p):
+def _packed(slots, fd):
+    return {slots.key(m): c for m, c in fd.items()}
+
+
+def _engine_divisors(slots, divisors, p):
     out = []
     for g in divisors:
-        g = _integral(g, p)
-        lead = _engine_lead(g)
+        g = _integral(_packed(slots, g), p)
+        lead = max(g)
         if p:
             assert g[lead] == 1
         else:
             assert g[lead] > 0 and gcd(*g.values()) == 1
-        out.append(_divisor(lead, g))
+        out.append(_divisor(slots, lead, g))
     return out
+
+
+def _engine_system(system, p):
+    """The slots, the packed f and the engine's divisors of a flat system."""
+    f, divisors = system
+    slots = _Slots(len(next(iter(f))), 32)
+    return slots, _packed(slots, f), _engine_divisors(slots, divisors, p)
+
+
+def _unpacked(slots, fd):
+    return {slots.vector(m): c for m, c in fd.items()}
 
 
 _BIG = Fraction(10 ** 40, 7)
@@ -323,19 +340,102 @@ _MERSENNE = Fraction(1, 2 ** 61 - 1)
 @example(({(3,): _MERSENNE, (1,): _BIG},
           [{(1,): 2 * _BIG, (0,): -4 * _BIG}]))
 def test_normal_form_over_q_matches_the_oracle(system):
-    f, divisors = system
+    slots, f, divisors = _engine_system(system, 0)
     f = _integral(f, 0)
     assert gcd(*f.values()) == 1
-    s, r = _normal_form(f, _engine_divisors(divisors, 0), 0)
+    s, r = _normal_form(slots, f, divisors, 0)
     assert s > 0
-    assert {m: Fraction(c, s) for m, c in r.items()} == \
-        _remainder({m: Fraction(c) for m, c in f.items()}, divisors, 0)
+    assert {m: Fraction(c, s) for m, c in _unpacked(slots, r).items()} == \
+        _remainder({m: Fraction(c) for m, c in _unpacked(slots, f).items()},
+                   system[1], 0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_flat_systems(7))
 def test_normal_form_over_f7_matches_the_oracle(system):
-    f, divisors = system
-    s, r = _normal_form(f, _engine_divisors(divisors, 7), 7)
+    slots, f, divisors = _engine_system(system, 7)
+    s, r = _normal_form(slots, f, divisors, 7)
     assert s == 1
-    assert r == _remainder(f, divisors, 7)
+    assert _unpacked(slots, r) == _remainder(*system, 7)
+
+
+# ---- the packed monomials, against the tuple forms ----
+
+@st.composite
+def _packed_pairs(draw):
+    """(width, a, b): two exponent vectors of 1-5 entries whose degrees fit
+    the slots, with entries drawn small or next to the guard bit."""
+    width = draw(st.sampled_from((4, 8, 32)))
+    top = (1 << width - 1) - 1
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(0, 3), st.integers(max(top - 3, 0), top))
+
+    def vector():
+        vec = draw(st.lists(entry, min_size=n, max_size=n))
+        while sum(vec) > top:
+            vec[max(range(n), key=vec.__getitem__)] //= 2
+        return tuple(vec)
+
+    return width, vector(), vector()
+
+
+def _raw(vec, width):
+    return sum(e << width * k for k, e in enumerate(vec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_pairs())
+@example((8, (127, 0), (0, 127)))
+@example((4, (0, 0, 7), (7, 0, 0)))
+@example((4, (3, 4, 0, 0, 0), (0, 0, 0, 0, 7)))
+def test_packed_monomials_match_the_tuple_forms(case):
+    width, a, b = case
+    slots = _Slots(len(a), width)
+    ka, kb = slots.key(a), slots.key(b)
+    ra, rb = slots.raw(ka), slots.raw(kb)
+    # degrevlex order, and the round trip key -> raw -> key -> vector
+    assert (ka < kb) == (_grevlex(a) < _grevlex(b))
+    assert (ka == kb) == (a == b)
+    assert (ra, rb) == (_raw(a, width), _raw(b, width))
+    assert (slots.checked_key(ra), slots.vector(ka)) == (ka, a)
+    # a product is a sum of keys while its degree fits
+    if sum(a) + sum(b) < 1 << width - 1:
+        assert ka + kb == slots.key(tuple(map(add, a, b)))
+    assert slots.divides(ra, rb) == _divides(a, b)
+    assert slots.coprime(ra, rb) == (not any(map(min, a, b)))
+    lcm = tuple(map(max, a, b))
+    assert slots.lcm(ra, rb) == _raw(lcm, width)
+    if sum(lcm) < 1 << width - 1:
+        assert slots.checked_key(_raw(lcm, width)) == slots.key(lcm)
+    else:
+        with pytest.raises(_SlotOverflow):
+            slots.checked_key(_raw(lcm, width))
+    # the extra slot of radical membership: the inputs leave it at 0
+    wide = _Slots(len(a) + 1, width)
+    assert wide.key(a) == wide.key(a + (0,))
+    if sum(a) + 1 < 1 << width - 1:
+        assert wide.key(a) + (1 << width * len(a)) == wide.key(a + (1,))
+        assert wide.vector(wide.key(a + (1,))) == a + (1,)
+
+
+def test_a_pair_lcm_past_the_slots_reruns_the_call_wider(monkeypatch):
+    """x^(2^30)*y and x*y^(2^30) fit 32-bit slots, their lcm does not: the
+    call runs again at 64 bits and answers as the tuple engine did."""
+    widths = []
+
+    class Recorded(_Slots):
+        def __init__(self, n, width):
+            widths.append(width)
+            super().__init__(n, width)
+
+    monkeypatch.setattr(ideals, "_Slots", Recorded)
+    names = ["x", "y"]
+    ideal = IdealPresentation(tuple(
+        parse(t, QQ, names) for t in ("x^1073741824*y", "x*y^1073741824")))
+    assert groebner(ideal).basis == (parse("x*y^1073741824", QQ, names),
+                                     parse("x^1073741824*y", QQ, names))
+    assert widths == [32, 64]
+    widths.clear()
+    assert not ideal_member(parse("x^1073741823*y^1073741823", QQ, names),
+                            ideal)
+    assert widths == [32, 64]
