@@ -165,9 +165,3 @@ def compose_maps(outer, inner):
     if inner.target_arity != outer.source_arity:
         raise FieldMismatch("maps are not composable")
     return PolynomialMap(tuple(pullback(inner, c) for c in outer.components))
-
-
-def map_from_images(images):
-    """The unique polynomial map whose pullback sends the i-th target
-    variable to images[i]."""
-    return PolynomialMap(tuple(images))

@@ -3,6 +3,16 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain error (with the stable error identifier), 2 usage error.  All
 output is exact; fractions print as a/b.
+
+``_COMMANDS`` has one row per subcommand: its name, its handler and its
+arguments as (flag, add_argument options) pairs in ``--help`` order.
+``run`` reads ``--field`` and ``--vars`` once; a handler takes ``(args,
+field, names)`` and returns ``(payload, lines)``, printed as JSON under
+``--json``, else line by line.  A word that begins with a single "-" (not
+``-h``) is a value: before ``--`` it is glued to a preceding option that
+takes one (``--deg -1/2`` reads as ``--deg=-1/2``); anywhere else it is
+passed with a leading space, which argparse reads as a positional and the
+grammar skips.
 """
 
 import argparse
@@ -19,10 +29,6 @@ from .parser import parse, print_poly, to_term_list
 from .poly import QPolynomial
 
 
-# Options that take a fraction.  argparse reads a separate value such as
-# "-1/2" as an option, so run() glues it to its option as "--deg=-1/2".
-_FRACTION_OPTIONS = ("--deg", "--box", "--degree")
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _ROOT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -56,12 +62,17 @@ def _point(text):
 
 
 def _glue_negative_values(argv):
+    """Make the words before "--" that begin with one "-" values."""
     out = []
-    for arg in argv:
-        if out and out[-1] in _FRACTION_OPTIONS and _NEGATIVE_VALUE.match(arg):
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        if not arg.startswith("-") or arg.startswith("--") or arg == "-h":
+            out.append(arg)
+        elif out and out[-1] in _VALUE_OPTIONS:
             out[-1] += "=" + arg
         else:
-            out.append(arg)
+            out.append(" " + arg)
     return out
 
 
@@ -89,244 +100,232 @@ def _mono_text(mono, varnames):
     return print_poly(poly, varnames)
 
 
-def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+def _ideal(exprs, field, varnames):
+    return ideals.IdealPresentation(
+        tuple(parse(e, field, varnames) for e in exprs))
 
 
-def _field_vars(args):
-    field = field_from_name(args.field)
-    varnames = _split_vars(args.vars) if args.vars else []
-    return field, varnames
-
-
-def _cmd_parse(args):
-    field, varnames = _field_vars(args)
+def _cmd_parse(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     text = print_poly(f, varnames)
-    _emit(args, {"poly": text, "terms": to_term_list(f, varnames)}, [text])
+    return {"poly": text, "terms": to_term_list(f, varnames)}, [text]
 
 
-def _cmd_gcd(args):
-    field, varnames = _field_vars(args)
+def _cmd_gcd(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     g = parse(args.exprs[1], field, varnames)
     d, u, v = ideals.gcd_univariate(f, g)
     texts = {k: print_poly(p, varnames) for k, p in
              (("gcd", d), ("u", u), ("v", v))}
-    _emit(args, texts, ["%s: %s" % (k, texts[k]) for k in ("gcd", "u", "v")])
+    return texts, ["%s: %s" % (k, texts[k]) for k in ("gcd", "u", "v")]
 
 
-def _ideal_of(args, field, varnames):
-    return ideals.IdealPresentation(
-        tuple(parse(e, field, varnames) for e in args.ideal))
-
-
-def _cmd_groebner(args):
-    field, varnames = _field_vars(args)
-    gens = ideals.IdealPresentation(
-        tuple(parse(e, field, varnames) for e in args.exprs))
-    gb = ideals.groebner(gens)
+def _cmd_groebner(args, field, varnames):
+    gb = ideals.groebner(_ideal(args.exprs, field, varnames))
     basis = [print_poly(g, varnames) for g in gb.basis]
     payload = {"level": list(gb.level.orders), "basis": basis}
     lines = ["level: %s" % ",".join(str(x) for x in gb.level.orders)]
-    lines += ["basis: %s" % b for b in basis]
-    _emit(args, payload, lines)
+    return payload, lines + ["basis: %s" % b for b in basis]
 
 
-def _cmd_member(args):
-    field, varnames = _field_vars(args)
+def _cmd_member(args, field, varnames):
+    """member and radical-member."""
     f = parse(args.exprs[0], field, varnames)
-    answer = ideals.ideal_member(f, _ideal_of(args, field, varnames))
-    _emit(args, {"member": answer}, ["true" if answer else "false"])
+    test = (ideals.ideal_member if args.command == "member"
+            else ideals.radical_member)
+    answer = test(f, _ideal(args.ideal, field, varnames))
+    return {"member": answer}, ["true" if answer else "false"]
 
 
-def _cmd_radical_member(args):
-    field, varnames = _field_vars(args)
-    f = parse(args.exprs[0], field, varnames)
-    answer = ideals.radical_member(f, _ideal_of(args, field, varnames))
-    _emit(args, {"member": answer}, ["true" if answer else "false"])
+def _cmd_proper(args, field, varnames):
+    answer = ideals.is_proper(_ideal(args.ideal, field, varnames))
+    return {"proper": answer}, ["true" if answer else "false"]
 
 
-def _cmd_proper(args):
-    field, varnames = _field_vars(args)
-    answer = ideals.is_proper(_ideal_of(args, field, varnames))
-    _emit(args, {"proper": answer}, ["true" if answer else "false"])
-
-
-def _cmd_flatten(args):
-    field, varnames = _field_vars(args)
+def _cmd_flatten(args, field, varnames):
     fs = [parse(e, field, varnames) for e in args.exprs]
     fmap, flats = flatten.flatten(fs)
     texts = [print_poly(g, varnames) for g in flats]
     payload = {"level": list(fmap.orders), "polys": texts}
-    lines = ["level: %s" % ",".join(str(x) for x in fmap.orders)] + texts
-    _emit(args, payload, lines)
+    lines = ["level: %s" % ",".join(str(x) for x in fmap.orders)]
+    return payload, lines + texts
 
 
-def _cmd_noether(args):
-    field, varnames = _field_vars(args)
+def _cmd_noether(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     shifts, transformed, (coeff, mono) = flatten.noether_substitution(f)
     text = print_poly(transformed, varnames)
-    lead = "%s, %s" % (field.format(coeff), _mono_text(mono, varnames))
+    coeff, mono = field.format(coeff), _mono_text(mono, varnames)
     payload = {"shifts": [str(a) for a in shifts], "transformed": text,
-               "leading": {"coeff": field.format(coeff),
-                           "monomial": _mono_text(mono, varnames)}}
-    _emit(args, payload, ["shifts: %s" % ",".join(str(a) for a in shifts),
-                          "transformed: %s" % text, "leading: %s" % lead])
+               "leading": {"coeff": coeff, "monomial": mono}}
+    return payload, ["shifts: %s" % ",".join(str(a) for a in shifts),
+                     "transformed: %s" % text,
+                     "leading: %s, %s" % (coeff, mono)]
 
 
-def _cmd_roots(args):
-    field, varnames = _field_vars(args)
+def _cmd_roots(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
-    roots = geometry.roots_univariate(f)
-    _emit(args, {"roots": [field.format(r) for r in roots]},
-          [field.format(r) for r in roots])
+    roots = [field.format(r) for r in geometry.roots_univariate(f)]
+    return {"roots": roots}, roots
 
 
-def _cmd_eval(args):
-    field, varnames = _field_vars(args)
+def _cmd_eval(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     point = _parse_point(field, args.point)
-    value = geometry.evaluate(f, point)
-    _emit(args, {"value": field.format(value)}, [field.format(value)])
+    value = field.format(geometry.evaluate(f, point))
+    return {"value": value}, [value]
 
 
-def _cmd_variety(args):
-    field, varnames = _field_vars(args)
-    points = geometry.variety_bruteforce(_ideal_of(args, field, varnames),
+def _cmd_variety(args, field, varnames):
+    points = geometry.variety_bruteforce(_ideal(args.ideal, field, varnames),
                                          args.point_level)
-    rows = []
-    for pt in points:
-        rows.append("%d:%s|x=%s" % (
-            pt.order,
-            ",".join(field.format(u) for u in pt.roots),
-            ",".join(field.format(x) for x in pt.coordinates())))
     payload = {"points": [{"order": pt.order,
                            "roots": [field.format(u) for u in pt.roots],
                            "coords": [field.format(x) for x in pt.coordinates()]}
                           for pt in points]}
-    _emit(args, payload, rows)
+    return payload, ["%d:%s|x=%s" % (pt["order"], ",".join(pt["roots"]),
+                                     ",".join(pt["coords"]))
+                     for pt in payload["points"]]
 
 
-def _cmd_tangent(args):
-    field, varnames = _field_vars(args)
+def _cmd_tangent(args, field, varnames):
+    # the generators as given: an IdealPresentation would drop zeros
     gens = [parse(e, field, varnames) for e in args.ideal]
     point = _parse_point(field, args.point)
     dim, equations = geometry.tangent_space(gens, point)
     texts = [print_poly(eq, varnames) for eq in equations]
-    _emit(args, {"dim": dim, "equations": texts},
-          ["dim: %d" % dim] + ["eq: %s" % t for t in texts])
+    return ({"dim": dim, "equations": texts},
+            ["dim: %d" % dim] + ["eq: %s" % t for t in texts])
 
 
-def _cmd_components(args):
-    field, varnames = _field_vars(args)
+def _cmd_components(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
-    comps = grading.homogeneous_components(f)
-    items = sorted(comps.items())
+    items = sorted(grading.homogeneous_components(f).items())
     payload = {str(d): print_poly(p, varnames) for d, p in items}
-    _emit(args, payload, ["%s: %s" % (d, print_poly(p, varnames))
-                          for d, p in items])
+    return payload, ["%s: %s" % item for item in payload.items()]
 
 
-def _cmd_homog(args):
-    field, varnames = _field_vars(args)
+def _cmd_homog(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     at = args.at if args.at is not None else len(varnames)
     F = grading.homogenize(f, args.degree, at)
     names = varnames[:at] + [args.new_var] + varnames[at:]
     text = print_poly(F, names)
-    _emit(args, {"poly": text, "vars": names}, [text])
+    return {"poly": text, "vars": names}, [text]
 
 
-def _cmd_dehomog(args):
-    field, varnames = _field_vars(args)
+def _cmd_dehomog(args, field, varnames):
     f = parse(args.exprs[0], field, varnames)
     g = grading.dehomogenize(f, args.chart)
     names = varnames[:args.chart] + varnames[args.chart + 1:]
     text = print_poly(g, names)
-    _emit(args, {"poly": text, "vars": names}, [text])
+    return {"poly": text, "vars": names}, [text]
 
 
-def _cmd_embed(args):
+def _cmd_embed(args, field, varnames):
     monos = grading.veronese_rational(args.k)
     texts = [_mono_text(m, ["x", "y"]) for m in monos]
-    _emit(args, {"monomials": texts}, texts)
+    return {"monomials": texts}, texts
 
 
-def _cmd_cech(args):
+def _cmd_cech(args, field, varnames):
     dims = cohomology.twist_dims(args.n, args.deg, args.den, args.box)
     payload = {"h": list(dims.h)}
     lines = ["h: %s" % ",".join(str(x) for x in dims.h)]
-    if args.basis == "h0":
-        basis = cohomology.h0_basis(args.n, args.deg, args.den)
-    elif args.basis == "hn":
-        basis = cohomology.hn_basis(args.n, args.deg, args.den)
-    else:
-        basis = None
-    if basis is not None:
+    if args.basis is not None:
+        find = (cohomology.h0_basis if args.basis == "h0"
+                else cohomology.hn_basis)
+        basis = find(args.n, args.deg, args.den)
         names = ["X%d" % i for i in range(args.n + 1)]
-        texts = [_mono_text(mono, names) for mono in basis]
-        payload["basis"] = texts
-        lines += ["basis: %s" % t for t in texts]
-    _emit(args, payload, lines)
+        payload["basis"] = [_mono_text(mono, names) for mono in basis]
+        lines += ["basis: %s" % t for t in payload["basis"]]
+    return payload, lines
 
 
-def _cmd_kunneth(args):
+def _cmd_kunneth(args, field, varnames):
     h = cohomology.kunneth_dims(args.a, args.b)
-    _emit(args, {"h": list(h)}, ["h: %s" % ",".join(str(x) for x in h)])
+    return {"h": list(h)}, ["h: %s" % ",".join(str(x) for x in h)]
 
 
-def _cmd_proot(args):
+def _cmd_proot(args, field, varnames):
     field = field_from_name("fp:%d" % args.p)
-    varnames = _split_vars(args.vars) if args.vars else []
     f = parse(args.exprs[0], field, varnames)
-    g = charp.p_th_root(f)
-    text = print_poly(g, varnames)
-    _emit(args, {"poly": text}, [text])
+    text = print_poly(charp.p_th_root(f), varnames)
+    return {"poly": text}, [text]
 
 
-def _cmd_compose(args):
-    field = field_from_name(args.field)
-    inner_vars = _split_vars(args.vars) if args.vars else []
+def _cmd_compose(args, field, varnames):
+    """compose and pullback: the first expression is over --outer-vars,
+    the others over --vars."""
     outer_vars = _split_vars(args.outer_vars)
     f = parse(args.exprs[0], field, outer_vars)
-    gs = [parse(e, field, inner_vars) for e in args.exprs[1:]]
-    if len(gs) != len(outer_vars):
+    gs = [parse(e, field, varnames) for e in args.exprs[1:]]
+    if args.command == "pullback":
+        result = charp.pullback(charp.PolynomialMap(tuple(gs)), f)
+    elif len(gs) != len(outer_vars):
         raise FieldMismatch("expected %d inner polynomials" % len(outer_vars))
-    result = charp.compose(f, gs)
-    text = print_poly(result, inner_vars)
-    _emit(args, {"poly": text}, [text])
+    else:
+        result = charp.compose(f, gs)
+    text = print_poly(result, varnames)
+    return {"poly": text}, [text]
 
 
-def _cmd_pullback(args):
-    field = field_from_name(args.field)
-    source_vars = _split_vars(args.vars) if args.vars else []
-    target_vars = _split_vars(args.outer_vars)
-    g = parse(args.exprs[0], field, target_vars)
-    phi = charp.PolynomialMap(
-        tuple(parse(e, field, source_vars) for e in args.exprs[1:]))
-    result = charp.pullback(phi, g)
-    text = print_poly(result, source_vars)
-    _emit(args, {"poly": text}, [text])
+_FIELD = ("--field", dict(default="q", help="q or fp:<prime>"))
+_VARS = ("--vars", dict(default="", help="comma-separated variable names"))
+_JSON = ("--json", dict(action="store_true"))
+_IDEAL = ("--ideal", dict(action="append", default=[],
+                          help="ideal generator (repeatable)"))
+_POINT = ("--point", dict(type=_point, required=True,
+                          help="point with roots, as L:u1,u2,..."))
+_COMMON = (_FIELD, _VARS, _JSON)
+_ONE, _TWO, _SOME = (("exprs", dict(nargs=n)) for n in (1, 2, "+"))
+_MAP = (("--field", dict(default="q")),
+        ("--vars", dict(default="", help="inner (source) variable names")),
+        ("--outer-vars", dict(required=True,
+                              help="outer (target) variable names")),
+        _JSON, _SOME)
 
+_COMMANDS = (
+    ("parse", _cmd_parse, _COMMON + (_ONE,)),
+    ("gcd", _cmd_gcd, _COMMON + (_TWO,)),
+    ("groebner", _cmd_groebner, _COMMON + (_SOME,)),
+    ("member", _cmd_member, _COMMON + (_IDEAL, _ONE)),
+    ("radical-member", _cmd_member, _COMMON + (_IDEAL, _ONE)),
+    ("proper", _cmd_proper, _COMMON + (_IDEAL,)),
+    ("flatten", _cmd_flatten, _COMMON + (_SOME,)),
+    ("noether", _cmd_noether, _COMMON + (_ONE,)),
+    ("roots", _cmd_roots, _COMMON + (_ONE,)),
+    ("eval", _cmd_eval, _COMMON + (_POINT, _ONE)),
+    ("tangent", _cmd_tangent, _COMMON + (_IDEAL, _POINT)),
+    ("components", _cmd_components, _COMMON + (_ONE,)),
+    ("dehomog", _cmd_dehomog, _COMMON + (
+        _ONE, ("--chart", dict(type=int, required=True)))),
+    ("homog", _cmd_homog, _COMMON + (
+        _ONE, ("--degree", dict(type=_fraction, required=True)),
+        ("--new-var", dict(default="h")),
+        ("--at", dict(type=int, default=None)))),
+    ("variety", _cmd_variety, _COMMON + (
+        _IDEAL, ("--point-level", dict(type=int, default=1)))),
+    ("embed", _cmd_embed, (("--k", dict(type=int, required=True)), _JSON)),
+    ("cech", _cmd_cech, (("--n", dict(type=int, required=True)),
+                         ("--deg", dict(type=_fraction, required=True)),
+                         ("--den", dict(type=int, required=True)),
+                         ("--box", dict(type=_fraction, required=True)),
+                         ("--basis", dict(choices=["h0", "hn"])), _JSON)),
+    ("kunneth", _cmd_kunneth, (
+        ("--a", dict(type=_dims, required=True,
+                     help="comma-separated dimensions")),
+        ("--b", dict(type=_dims, required=True)), _JSON)),
+    ("proot", _cmd_proot, (("--p", dict(type=int, required=True)),
+                           ("--vars", dict(default="")), _JSON, _ONE)),
+    ("compose", _cmd_compose, _MAP),
+    ("pullback", _cmd_compose, _MAP),
+)
 
-def _add_common(sub, exprs="*", ideal=False, point=False):
-    sub.add_argument("--field", default="q", help="q or fp:<prime>")
-    sub.add_argument("--vars", default="", help="comma-separated variable names")
-    sub.add_argument("--json", action="store_true")
-    if ideal:
-        sub.add_argument("--ideal", action="append", default=[],
-                         help="ideal generator (repeatable)")
-    if point:
-        sub.add_argument("--point", type=_point, required=True,
-                         help="point with roots, as L:u1,u2,...")
-    if exprs is not None:
-        sub.add_argument("exprs", nargs=exprs)
+# The options that take a value, to which _glue_negative_values glues.
+_VALUE_OPTIONS = frozenset(
+    flag for _, _, arguments in _COMMANDS for flag, options in arguments
+    if flag.startswith("--") and options.get("action") != "store_true")
 
 
 def build_parser():
@@ -334,78 +333,11 @@ def build_parser():
                                   description="exact rational-exponent "
                                               "polynomial algebra")
     subs = top.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("parse", _cmd_parse, dict(exprs=1)),
-        ("gcd", _cmd_gcd, dict(exprs=2)),
-        ("groebner", _cmd_groebner, dict(exprs="+")),
-        ("member", _cmd_member, dict(exprs=1, ideal=True)),
-        ("radical-member", _cmd_radical_member, dict(exprs=1, ideal=True)),
-        ("proper", _cmd_proper, dict(exprs=None, ideal=True)),
-        ("flatten", _cmd_flatten, dict(exprs="+")),
-        ("noether", _cmd_noether, dict(exprs=1)),
-        ("roots", _cmd_roots, dict(exprs=1)),
-        ("eval", _cmd_eval, dict(exprs=1, point=True)),
-        ("tangent", _cmd_tangent, dict(exprs=None, ideal=True, point=True)),
-        ("components", _cmd_components, dict(exprs=1)),
-        ("dehomog", _cmd_dehomog, dict(exprs=1)),
-        ("homog", _cmd_homog, dict(exprs=1)),
-    ]
-    for name, func, kw in specs:
+    for name, handler, arguments in _COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub, **kw)
-        sub.set_defaults(func=func)
-        if name == "dehomog":
-            sub.add_argument("--chart", type=int, required=True)
-        if name == "homog":
-            sub.add_argument("--degree", type=_fraction, required=True)
-            sub.add_argument("--new-var", default="h")
-            sub.add_argument("--at", type=int, default=None)
-
-    sub = subs.add_parser("variety")
-    _add_common(sub, exprs=None, ideal=True)
-    sub.add_argument("--point-level", type=int, default=1)
-    sub.set_defaults(func=_cmd_variety)
-
-    sub = subs.add_parser("embed")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_embed)
-
-    sub = subs.add_parser("cech")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--deg", type=_fraction, required=True)
-    sub.add_argument("--den", type=int, required=True)
-    sub.add_argument("--box", type=_fraction, required=True)
-    sub.add_argument("--basis", choices=["h0", "hn"])
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_cech)
-
-    sub = subs.add_parser("kunneth")
-    sub.add_argument("--a", type=_dims, required=True,
-                     help="comma-separated dimensions")
-    sub.add_argument("--b", type=_dims, required=True)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_kunneth)
-
-    sub = subs.add_parser("proot")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--vars", default="")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("exprs", nargs=1)
-    sub.set_defaults(func=_cmd_proot)
-
-    for name, func in (("compose", _cmd_compose), ("pullback", _cmd_pullback)):
-        sub = subs.add_parser(name)
-        sub.add_argument("--field", default="q")
-        sub.add_argument("--vars", default="",
-                         help="inner (source) variable names")
-        sub.add_argument("--outer-vars", required=True,
-                         help="outer (target) variable names")
-        sub.add_argument("--json", action="store_true")
-        sub.add_argument("exprs", nargs="+")
-        sub.set_defaults(func=func)
-
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return top
 
 
@@ -423,7 +355,11 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        args.func(args)
+        field = field_from_name(getattr(args, "field", "q"))
+        varnames = _split_vars(getattr(args, "vars", ""))
+        payload, lines = args.handler(args, field, varnames)
+        for line in [json.dumps(payload)] if args.json else lines:
+            print(line)
         return 0
     except ValueError as exc:
         if "integer string conversion" not in str(exc):

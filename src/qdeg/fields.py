@@ -42,13 +42,6 @@ def is_prime(p):
     return True
 
 
-def rat_reduce(numerator, denominator):
-    """Reduced rational with positive denominator; (0, anything) -> 0/1."""
-    if denominator == 0:
-        raise DivisionByZero("denominator is zero")
-    return Fraction(numerator, denominator)
-
-
 def fp_inv(a, p):
     """Inverse of a mod p; a must be nonzero mod p."""
     if a % p == 0:

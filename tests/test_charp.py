@@ -7,8 +7,7 @@ import pytest
 from helpers import qq_poly, random_poly
 from qdeg.charp import (MAX_ROOT_FINDER_DEGREE, PolynomialMap,
                         _coefficient_root, compose, compose_maps,
-                        fractional_power, map_from_images, p_th_root,
-                        pullback)
+                        fractional_power, p_th_root, pullback)
 from qdeg.errors import CompositionNotPolynomial, FieldMismatch, NotPrimeField
 from qdeg.fields import QQ, PrimeField, is_prime
 from qdeg.parser import parse
@@ -190,7 +189,7 @@ def test_compose_maps_arity_check():
 
 def test_map_from_images():
     images = (qq_poly("x^2", ["x", "y"]), qq_poly("x + y", ["x", "y"]))
-    phi = map_from_images(images)
+    phi = PolynomialMap(images)
     assert phi.source_arity == 2 and phi.target_arity == 2
     x0 = qq_poly("x0", ["x0", "x1"])
     x1 = qq_poly("x1", ["x0", "x1"])

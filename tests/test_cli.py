@@ -1,6 +1,6 @@
-import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,9 +13,12 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_poly
 from qdeg import cli as cli_module
 from qdeg.cli import run
+from qdeg.fields import QQ, PrimeField
 from qdeg.grading import MAX_VERONESE_LEVEL
+from qdeg.parser import print_poly
 
 
 @pytest.fixture
@@ -350,9 +353,7 @@ def test_every_subcommand_is_fuzzed():
         match = re.fullmatch(r"test_(\w+)_fuzz_exit_codes", name)
         if match:
             fuzzed.update(match.group(1).split("_and_"))
-    subs, = (a for a in cli_module.build_parser()._actions
-             if isinstance(a, argparse._SubParsersAction))
-    commands = {c.replace("-", "_") for c in subs.choices}
+    commands = {name.replace("-", "_") for name, _, _ in cli_module._COMMANDS}
     excluded = {c.replace("-", "_") for c in _NOT_FUZZED}
     assert excluded <= commands
     assert commands - excluded == commands & fuzzed
@@ -427,6 +428,35 @@ def test_negative_fraction_as_separate_argument(cli):
     code, _, err = cli("cech", "--n", "1", "--deg", "-x", "--den", "2",
                        "--box", "1")
     assert code == 2 and "Traceback" not in err
+
+
+def test_values_that_begin_with_a_minus(cli):
+    """A word that begins with one "-" is a value: an expression, or the
+    value of the option before it; -h still asks for help."""
+    assert cli("parse", "--vars", "x", "-x") == (0, "-x\n", "")
+    assert cli("parse", "--vars", "x", "-2*x") == (0, "-2*x\n", "")
+    assert cli("member", "--vars", "x", "--ideal", "-x", "x") == (
+        0, "true\n", "")
+    assert cli("gcd", "--vars", "x", "x^2", "-x") == (
+        0, "gcd: x\nu: 0\nv: -1\n", "")
+    code, out, err = cli("kunneth", "--a", "-1,2", "--b", "1")
+    assert (code, out) == (1, "") and err.startswith("NegativeDimension:")
+    code, out, err = cli("parse", "--vars", "h", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: qdeg parse ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), nvars=st.integers(1, 3),
+       field=st.sampled_from([("q", QQ), ("fp:7", PrimeField(7))]))
+def test_printed_polynomials_parse_back_on_the_command_line(seed, nvars,
+                                                            field):
+    name, field = field
+    names = ["x", "y", "z"][:nvars]
+    text = print_poly(random_poly(random.Random(seed), field, nvars), names)
+    argv = ["parse", "--field", name, "--vars", ",".join(names)]
+    assert _run_captured(argv + [text]) == (0, text + "\n", "")
+    code, out, err = _run_captured(argv + ["--json", text])
+    assert (code, err) == (0, "") and json.loads(out)["poly"] == text
 
 
 def test_roots_command(cli):
@@ -596,6 +626,30 @@ def test_double_dash_option_value_is_usage_error(cli):
         assert (code, out) == (2, "") and "expected one argument" in err
     code, out, _ = cli("parse", "--vars", "x", "--", "--x=--")
     assert (code, out) == (1, "")
+
+
+# ---- golden corpus ----
+
+def _stderr_ident(code, err):
+    """The error identifier on exit 1, the last stderr line on exit 2."""
+    if code == 1:
+        return err.split(":", 1)[0]
+    return err.rstrip("\n").rsplit("\n", 1)[-1] if err else ""
+
+
+def test_golden_corpus(monkeypatch):
+    """qdeg --help and every subcommand's --help, valid runs in text and
+    --json form, and domain and usage errors: exit code and stdout byte for
+    byte, and the stderr identifier, as recorded in the data file."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    cases = json.loads((Path(__file__).parent / "data" /
+                        "cli_golden.json").read_text())["cases"]
+    helped = {c["argv"][0] for c in cases if c["argv"][1:] == ["--help"]}
+    assert helped == {name for name, _, _ in cli_module._COMMANDS}
+    for case in cases:
+        code, out, err = _run_captured(case["argv"])
+        assert (code, out, _stderr_ident(code, err)) == (
+            case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
 # ---- one parser per process ----

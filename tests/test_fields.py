@@ -3,22 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qdeg.errors import DivisionByZero, NotInvertible, NotPrime, PrimeTooLarge
+from qdeg.errors import NotInvertible, NotPrime, PrimeTooLarge
 from qdeg.fields import (MR_LIMIT, QQ, PrimeField, field_from_name, fp_inv,
-                         is_prime, rat_reduce)
-
-
-def test_rat_reduce_examples():
-    assert rat_reduce(2, 4) == Fraction(1, 2)
-    r = rat_reduce(-3, -6)
-    assert r == Fraction(1, 2) and r.denominator == 2
-    z = rat_reduce(0, 5)
-    assert z.numerator == 0 and z.denominator == 1
-
-
-def test_rat_reduce_zero_denominator():
-    with pytest.raises(DivisionByZero):
-        rat_reduce(1, 0)
+                         is_prime)
 
 
 def test_fp_inv_examples():
